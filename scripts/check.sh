@@ -13,11 +13,11 @@
 #                               bench_serve load ladder + fault matrix at
 #                               smoke scale, and the serve concurrency
 #                               stress under TSan
-#   scripts/check.sh trees      histogram-tree matrix: binned/tree/forest/
-#                               gbdt unit tests swept at SUGAR_THREADS=1/2/7
-#                               plus the tree_compare perf gate (legacy vs
-#                               BinnedMatrix speedup >= 1, digests identical
-#                               across pool widths, json_check'd artifact)
+#   scripts/check.sh trees      histogram-tree matrix: quantize/binned/
+#                               tree/forest/gbdt unit tests (incl. the
+#                               sibling-subtraction identity, fit digests
+#                               and the pinned legacy-record gate) swept at
+#                               SUGAR_THREADS=1/2/7
 #   scripts/check.sh ooc        out-of-core matrix: store/pager/paged-fit
 #                               unit tests swept at SUGAR_THREADS=1/2/7,
 #                               the pager storm under TSan, and the
@@ -126,12 +126,8 @@ trees() {
   for threads in 1 2 7; do
     SUGAR_THREADS="$threads" run ctest --test-dir build-check \
         --output-on-failure \
-        -R 'BinnedMatrix|DecisionTree|RandomForest|Gbdt|ParallelDeterminism'
+        -R 'QuantizeBin|BinnedMatrix|HistogramTree|DecisionTree|RandomForest|Gbdt|ParallelDeterminism'
   done
-  # Legacy vs binned engine head-to-head: fit speedup >= 1 and the
-  # accuracy delta stamped, enforced by json_check on the artifact.
-  run ctest --test-dir build-check --output-on-failure \
-      -R 'tree_compare|tree_compare_json'
 }
 
 ooc() {

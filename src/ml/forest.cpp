@@ -22,6 +22,16 @@ std::uint64_t tree_seed(std::uint64_t seed, std::uint64_t tree) {
   return z ^ (z >> 31);
 }
 
+/// A bootstrap bag of `bag` row indices drawn uniformly from [0, n); `rng`
+/// then continues into the tree fit itself.
+std::vector<std::uint32_t> bootstrap(std::mt19937_64& rng, std::size_t n,
+                                     std::size_t bag) {
+  std::uniform_int_distribution<std::size_t> pick(0, n == 0 ? 0 : n - 1);
+  std::vector<std::uint32_t> rows(bag);
+  for (auto& r : rows) r = static_cast<std::uint32_t>(pick(rng));
+  return rows;
+}
+
 }  // namespace
 
 void RandomForest::fit(const Matrix& x, const std::vector<int>& y, int num_classes) {
@@ -39,24 +49,18 @@ void RandomForest::fit(const Matrix& x, const std::vector<int>& y, int num_class
   std::size_t bag = static_cast<std::size_t>(cfg_.bag_fraction * static_cast<double>(n));
 
   // Quantize once per fit: every tree shares the same bin codes and cut
-  // points, so per-tree compute_cuts (and its row-sample shuffle) is gone.
-  // Built before the per-tree loop so quantization itself parallelizes.
-  BinnedMatrix binned;
-  const BinnedMatrix* bm = nullptr;
-  if (cfg_.binned && n > 0) {
-    binned = BinnedMatrix(x, tree_cfg.histogram_bins);
-    bm = &binned;
-  }
+  // points. Built before the per-tree loop so quantization itself
+  // parallelizes.
+  const BinnedMatrix binned(x, tree_cfg.histogram_bins);
 
   core::global_pool().parallel_for(
       0, trees_.size(), 1, [&](std::size_t t0, std::size_t t1) {
         for (std::size_t t = t0; t < t1; ++t) {
           throw_if_cancelled(cfg_.cancel, "RandomForest::fit");
           std::mt19937_64 rng(tree_seed(cfg_.seed, t));
-          std::uniform_int_distribution<std::size_t> pick(0, n == 0 ? 0 : n - 1);
-          std::vector<std::uint32_t> rows(bag);
-          for (auto& r : rows) r = static_cast<std::uint32_t>(pick(rng));
-          trees_[t].fit_classifier(x, y, num_classes, tree_cfg, rng, &rows, bm);
+          const auto rows = bootstrap(rng, n, bag);
+          trees_[t].fit_classifier(x, binned, y, num_classes, tree_cfg, rng,
+                                   &rows);
         }
       });
 }
@@ -84,9 +88,7 @@ void RandomForest::fit_binned(const BinnedColumnSource& src,
   for (std::size_t t = 0; t < trees_.size(); ++t) {
     throw_if_cancelled(cfg_.cancel, "RandomForest::fit_binned");
     std::mt19937_64 rng(tree_seed(cfg_.seed, t));
-    std::uniform_int_distribution<std::size_t> pick(0, n == 0 ? 0 : n - 1);
-    std::vector<std::uint32_t> rows(bag);
-    for (auto& r : rows) r = static_cast<std::uint32_t>(pick(rng));
+    auto rows = bootstrap(rng, n, bag);
     std::sort(rows.begin(), rows.end());
     trees_[t].fit_classifier_binned(src, y, num_classes, tree_cfg, rng, &rows);
   }

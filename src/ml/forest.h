@@ -21,10 +21,6 @@ struct ForestConfig {
   /// Bootstrap sample fraction per tree.
   double bag_fraction = 1.0;
   std::uint64_t seed = 17;
-  /// Quantize the feature matrix once per fit (ml::BinnedMatrix) and let
-  /// every tree accumulate histograms from shared bin codes. Off = legacy
-  /// per-tree cut derivation + per-node binary-search binning.
-  bool binned = true;
   /// Polled once per tree (on whichever pool thread fits it); fit()
   /// rethrows the resulting CancelledError on the calling thread.
   const CancelToken* cancel = nullptr;

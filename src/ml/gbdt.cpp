@@ -8,8 +8,10 @@
 
 namespace sugar::ml {
 
-void GradientBoosting::fit(const Matrix& x, const std::vector<int>& y,
-                           int num_classes) {
+template <typename FitRound>
+void GradientBoosting::boost(std::size_t n, const std::vector<int>& y,
+                             int num_classes, const char* where,
+                             FitRound&& fit_round) {
   num_classes_ = num_classes;
   num_outputs_ = num_classes <= 2 ? 1 : num_classes;
   std::mt19937_64 rng(cfg_.seed);
@@ -23,27 +25,25 @@ void GradientBoosting::fit(const Matrix& x, const std::vector<int>& y,
     rounds = std::max(3, cfg_.max_total_trees / num_outputs_);
   rounds_used_ = rounds;
 
-  std::size_t n = x.rows();
-
-  // Quantize once: all rounds × classes share the bin codes. GBDT splits
-  // consider every feature, so trees also get sibling-subtraction
-  // histograms over the whole-feature slot layout.
-  BinnedMatrix binned;
-  const BinnedMatrix* bm = nullptr;
-  if (cfg_.binned && n > 0) {
-    binned = BinnedMatrix(x, tree_cfg.histogram_bins);
-    bm = &binned;
-  }
-
   // Current margins F [n×outputs].
   Matrix margins(n, static_cast<std::size_t>(num_outputs_));
   Matrix probs;  // softmax scratch, reused every round
-  std::vector<float> grad(n), hess(n);
+  std::vector<float> grad(n), hess(n), values;
   trees_.clear();
   trees_.reserve(static_cast<std::size_t>(rounds * num_outputs_));
 
+  // Fits one tree on the current (grad, hess) and adds its per-row outputs
+  // to margin column k.
+  auto add_tree = [&](std::size_t k) {
+    DecisionTree tree;
+    fit_round(tree, grad, hess, tree_cfg, rng, values);
+    for (std::size_t i = 0; i < n; ++i)
+      margins(i, k) += cfg_.learning_rate * values[i];
+    trees_.push_back(std::move(tree));
+  };
+
   for (int r = 0; r < rounds; ++r) {
-    throw_if_cancelled(cfg_.cancel, "GradientBoosting::fit");
+    throw_if_cancelled(cfg_.cancel, where);
     if (num_outputs_ == 1) {
       // Binary logistic: y in {0,1}, p = sigmoid(F).
       for (std::size_t i = 0; i < n; ++i) {
@@ -51,11 +51,7 @@ void GradientBoosting::fit(const Matrix& x, const std::vector<int>& y,
         grad[i] = p - static_cast<float>(y[i]);
         hess[i] = std::max(p * (1.0f - p), 1e-6f);
       }
-      DecisionTree tree;
-      tree.fit_regression(x, grad, hess, tree_cfg, rng, nullptr, bm);
-      for (std::size_t i = 0; i < n; ++i)
-        margins(i, 0) += cfg_.learning_rate * tree.predict_value(x.row(i));
-      trees_.push_back(std::move(tree));
+      add_tree(0);
     } else {
       // Softmax multi-class: one tree per class per round.
       probs.copy_from(margins);
@@ -66,73 +62,38 @@ void GradientBoosting::fit(const Matrix& x, const std::vector<int>& y,
           grad[i] = p - (y[i] == k ? 1.0f : 0.0f);
           hess[i] = std::max(p * (1.0f - p), 1e-6f);
         }
-        DecisionTree tree;
-        tree.fit_regression(x, grad, hess, tree_cfg, rng, nullptr, bm);
-        for (std::size_t i = 0; i < n; ++i)
-          margins(i, static_cast<std::size_t>(k)) +=
-              cfg_.learning_rate * tree.predict_value(x.row(i));
-        trees_.push_back(std::move(tree));
+        add_tree(static_cast<std::size_t>(k));
       }
     }
   }
 }
 
+void GradientBoosting::fit(const Matrix& x, const std::vector<int>& y,
+                           int num_classes) {
+  // Quantize once: all rounds × classes share the bin codes. GBDT splits
+  // consider every feature, so trees also get sibling-subtraction
+  // histograms over the whole-feature slot layout.
+  const BinnedMatrix binned(x, cfg_.tree.histogram_bins);
+  boost(x.rows(), y, num_classes, "GradientBoosting::fit",
+        [&](DecisionTree& tree, const std::vector<float>& grad,
+            const std::vector<float>& hess, const TreeConfig& tree_cfg,
+            std::mt19937_64& rng, std::vector<float>& values) {
+          tree.fit_regression(x, binned, grad, hess, tree_cfg, rng);
+          values.resize(x.rows());
+          for (std::size_t i = 0; i < x.rows(); ++i)
+            values[i] = tree.predict_value(x.row(i));
+        });
+}
+
 void GradientBoosting::fit_binned(const BinnedColumnSource& src,
                                   const std::vector<int>& y, int num_classes) {
-  num_classes_ = num_classes;
-  num_outputs_ = num_classes <= 2 ? 1 : num_classes;
-  std::mt19937_64 rng(cfg_.seed);
-
-  TreeConfig tree_cfg = cfg_.tree;
-  if (cfg_.growth == GbdtGrowth::LeafWise && tree_cfg.max_leaves == 0)
-    tree_cfg.max_leaves = 31;
-
-  int rounds = cfg_.rounds;
-  if (cfg_.max_total_trees > 0 && rounds * num_outputs_ > cfg_.max_total_trees)
-    rounds = std::max(3, cfg_.max_total_trees / num_outputs_);
-  rounds_used_ = rounds;
-
-  const std::size_t n = src.rows();
-
-  Matrix margins(n, static_cast<std::size_t>(num_outputs_));
-  Matrix probs;
-  std::vector<float> grad(n), hess(n), values;
-  trees_.clear();
-  trees_.reserve(static_cast<std::size_t>(rounds * num_outputs_));
-
-  for (int r = 0; r < rounds; ++r) {
-    throw_if_cancelled(cfg_.cancel, "GradientBoosting::fit_binned");
-    if (num_outputs_ == 1) {
-      for (std::size_t i = 0; i < n; ++i) {
-        float p = 1.0f / (1.0f + std::exp(-margins(i, 0)));
-        grad[i] = p - static_cast<float>(y[i]);
-        hess[i] = std::max(p * (1.0f - p), 1e-6f);
-      }
-      DecisionTree tree;
-      tree.fit_regression_binned(src, grad, hess, tree_cfg, rng);
-      tree.predict_value_binned(src, values);
-      for (std::size_t i = 0; i < n; ++i)
-        margins(i, 0) += cfg_.learning_rate * values[i];
-      trees_.push_back(std::move(tree));
-    } else {
-      probs.copy_from(margins);
-      softmax_rows(probs);
-      for (int k = 0; k < num_outputs_; ++k) {
-        for (std::size_t i = 0; i < n; ++i) {
-          float p = probs(i, static_cast<std::size_t>(k));
-          grad[i] = p - (y[i] == k ? 1.0f : 0.0f);
-          hess[i] = std::max(p * (1.0f - p), 1e-6f);
-        }
-        DecisionTree tree;
-        tree.fit_regression_binned(src, grad, hess, tree_cfg, rng);
-        tree.predict_value_binned(src, values);
-        for (std::size_t i = 0; i < n; ++i)
-          margins(i, static_cast<std::size_t>(k)) +=
-              cfg_.learning_rate * values[i];
-        trees_.push_back(std::move(tree));
-      }
-    }
-  }
+  boost(src.rows(), y, num_classes, "GradientBoosting::fit_binned",
+        [&](DecisionTree& tree, const std::vector<float>& grad,
+            const std::vector<float>& hess, const TreeConfig& tree_cfg,
+            std::mt19937_64& rng, std::vector<float>& values) {
+          tree.fit_regression_binned(src, grad, hess, tree_cfg, rng);
+          tree.predict_value_binned(src, values);
+        });
 }
 
 Matrix GradientBoosting::decision_function(const Matrix& x) const {

@@ -20,10 +20,6 @@ struct GbdtConfig {
   GbdtGrowth growth = GbdtGrowth::DepthWise;
   TreeConfig tree;
   std::uint64_t seed = 23;
-  /// Quantize the feature matrix once per fit (ml::BinnedMatrix), shared
-  /// by every round's trees; sibling-subtraction histograms apply since
-  /// GBDT splits consider all features. Off = legacy per-tree binning.
-  bool binned = true;
   /// Cap on rounds*classes to keep many-class tasks tractable; rounds is
   /// reduced when classes are many (0 = no cap).
   int max_total_trees = 2000;
@@ -57,6 +53,8 @@ class GradientBoosting {
  public:
   explicit GradientBoosting(GbdtConfig cfg = {}) : cfg_(cfg) {}
 
+  /// Quantizes `x` once (ml::BinnedMatrix) and reuses the codes for every
+  /// round's trees.
   void fit(const Matrix& x, const std::vector<int>& y, int num_classes);
 
   /// Out-of-core fit: the same boosting loop driven entirely by pre-binned
@@ -76,6 +74,14 @@ class GradientBoosting {
   [[nodiscard]] int rounds_used() const { return rounds_used_; }
 
  private:
+  /// The boosting loop shared by fit() and fit_binned(). Per round and
+  /// output, `fit_round(tree, grad, hess, tree_cfg, rng, values)` fits the
+  /// tree and writes its output for each of the `n` training rows into
+  /// `values`; the margin update and gradients are computed here.
+  template <typename FitRound>
+  void boost(std::size_t n, const std::vector<int>& y, int num_classes,
+             const char* where, FitRound&& fit_round);
+
   GbdtConfig cfg_;
   int num_classes_ = 0;
   int rounds_used_ = 0;

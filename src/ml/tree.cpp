@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <numeric>
 #include <queue>
 #include <unordered_map>
@@ -13,40 +12,6 @@
 
 namespace sugar::ml {
 namespace {
-
-/// Per-feature histogram cut points computed from (a sample of) the data.
-/// Legacy per-tree path only — forest/GBDT fits share a BinnedMatrix and
-/// never call this.
-std::vector<std::vector<float>> compute_cuts(const Matrix& x,
-                                             const std::vector<std::uint32_t>& rows,
-                                             int bins, std::mt19937_64& rng) {
-  std::size_t d = x.cols();
-  std::vector<std::vector<float>> cuts(d);
-  // Sample rows to bound quantile cost. std::sample draws kMaxSample
-  // indices in one O(n) pass — no copy + full shuffle of the row vector.
-  constexpr std::size_t kMaxSample = 4096;
-  std::vector<std::uint32_t> sample;
-  if (rows.size() > kMaxSample) {
-    sample.reserve(kMaxSample);
-    std::sample(rows.begin(), rows.end(), std::back_inserter(sample), kMaxSample,
-                rng);
-  } else {
-    sample = rows;
-  }
-  std::vector<float> vals(sample.size());
-  for (std::size_t f = 0; f < d; ++f) {
-    for (std::size_t i = 0; i < sample.size(); ++i) vals[i] = x(sample[i], f);
-    std::sort(vals.begin(), vals.end());
-    auto& c = cuts[f];
-    for (int b = 1; b < bins; ++b) {
-      std::size_t pos = vals.size() * static_cast<std::size_t>(b) /
-                        static_cast<std::size_t>(bins);
-      float v = vals[std::min(pos, vals.size() - 1)];
-      if (c.empty() || v > c.back()) c.push_back(v);
-    }
-  }
-  return cuts;
-}
 
 double gini_from_counts(const std::vector<double>& counts, double total) {
   if (total <= 0) return 0;
@@ -63,7 +28,13 @@ using F64Buffer = std::vector<double, AlignedAllocator<double>>;
 }  // namespace
 
 struct DecisionTree::BuildContext {
+  /// Raw floats for the exact small-node sweep and the threshold partition;
+  /// null for out-of-core fits, which split and partition on codes only.
   const Matrix* x = nullptr;
+  /// Quantize-once codes shared per fit: a resident BinnedMatrix for the
+  /// in-memory fits, or any BinnedColumnSource (paged store) for the
+  /// out-of-core fits.
+  const BinnedColumnSource* src = nullptr;
   // Classification:
   const std::vector<int>* y = nullptr;
   int num_classes = 0;
@@ -73,13 +44,7 @@ struct DecisionTree::BuildContext {
 
   TreeConfig cfg;
   std::mt19937_64* rng = nullptr;
-  std::vector<std::uint32_t> rows;  // working index buffer (partitioned in place)
-  std::vector<std::vector<float>> cuts;  // legacy path only (src == nullptr)
-  /// Quantize-once codes shared per fit: a resident BinnedMatrix for the
-  /// in-memory fits, or any BinnedColumnSource (paged store) for the
-  /// out-of-core fits. When `x` is null every split must come from the
-  /// histogram sweep and partitioning runs on codes.
-  const BinnedColumnSource* src = nullptr;
+  std::vector<std::uint32_t> rows{};  // working index buffer (partitioned in place)
 
   [[nodiscard]] bool regression() const { return grad != nullptr; }
 };
@@ -103,10 +68,18 @@ struct PendingNode {
 
 }  // namespace
 
-void DecisionTree::build(BuildContext& ctx) {
+void DecisionTree::build(BuildContext ctx,
+                         const std::vector<std::uint32_t>* subset) {
+  const BinnedColumnSource* bm = ctx.src;
+  if (subset) {
+    ctx.rows = *subset;
+  } else {
+    ctx.rows.resize(bm->rows());
+    std::iota(ctx.rows.begin(), ctx.rows.end(), 0);
+  }
   nodes_.clear();
   const TreeConfig& cfg = ctx.cfg;
-  std::size_t d = ctx.src ? ctx.src->cols() : ctx.x->cols();
+  std::size_t d = bm->cols();
   importance_.assign(d, 0.0);
 
   // Candidate feature list (subsampled per split).
@@ -117,22 +90,19 @@ void DecisionTree::build(BuildContext& ctx) {
           ? std::min<std::size_t>(static_cast<std::size_t>(cfg.features_per_split), d)
           : d;
 
-  // Histogram geometry. With a BinnedMatrix every feature slot has a
-  // uniform stride (`slot` doubles) so whole-tree buffers stay flat:
+  // Histogram geometry. Every feature slot has a uniform stride (`slot`
+  // doubles) so whole-tree buffers stay flat:
   //   classification: hist[(s*bins + code)*k + class]  counts
   //   regression:     hist[(s*bins + code)*3 + {0,1,2}] = {g, h, count}
-  const BinnedColumnSource* bm = ctx.src;
   const std::size_t k = static_cast<std::size_t>(std::max(ctx.num_classes, 1));
   const std::size_t slot_vals = ctx.regression() ? 3 : k;
-  const std::size_t slot =
-      bm ? static_cast<std::size_t>(bm->bins()) * slot_vals : 0;
+  const std::size_t slot = static_cast<std::size_t>(bm->bins()) * slot_vals;
   // Sibling subtraction needs parent and children to share the same feature
   // set, so it only pays when every split considers all features (GBDT).
   // Feature-sampled fits (forest) accumulate just the sampled slots per
   // node instead, which is cheaper than d-wide histograms they'd mostly
   // never sweep.
-  const bool subtract_mode =
-      bm != nullptr && cfg.hist_subtraction && feats_per_split >= d;
+  const bool subtract_mode = cfg.hist_subtraction && feats_per_split >= d;
 
   // Cached all-feature histograms by node index (subtract mode), plus a
   // free list so buffers recycle instead of reallocating per node.
@@ -150,8 +120,7 @@ void DecisionTree::build(BuildContext& ctx) {
   auto release_hist = [&](F64Buffer&& b) { hist_pool.push_back(std::move(b)); };
 
   // Scratch.
-  F64Buffer legacy_hist;   // legacy bin_of path, one feature at a time
-  F64Buffer sampled_hist;  // binned path without subtraction (sampled feats)
+  F64Buffer sampled_hist;  // no subtraction: this split's sampled features
   std::vector<double> left_counts;
   std::vector<std::uint32_t> part_scratch;  // stable code-partition right side
 
@@ -309,12 +278,12 @@ void DecisionTree::build(BuildContext& ctx) {
       return best;
     }
 
-    // Histogram sweeps shared by all three large-node sources (whole-tree
-    // subtract-mode buffer, per-node sampled buffer, legacy per-feature
-    // buffer): `hist` holds `cuts.size()+1` bins of class counts or
-    // {g, h, count} triples; splitting after bin b uses threshold cuts[b].
-    auto sweep_class = [&](const double* hist, const std::vector<float>& cuts,
-                           std::size_t f) {
+    // Histogram sweeps shared by both large-node buffers (whole-tree
+    // subtract-mode buffer, per-node sampled buffer): `hist` holds feature
+    // f's `cuts.size()+1` bins of class counts or {g, h, count} triples;
+    // splitting after bin b uses threshold cuts[b].
+    auto sweep_class = [&](const double* hist, std::size_t f) {
+      const std::vector<float>& cuts = bm->cuts(f);
       int nb = static_cast<int>(cuts.size()) + 1;
       left_counts.assign(k, 0.0);
       double nl = 0;
@@ -348,8 +317,8 @@ void DecisionTree::build(BuildContext& ctx) {
                   .bin = b};
       }
     };
-    auto sweep_reg = [&](const double* hist, const std::vector<float>& cuts,
-                         std::size_t f) {
+    auto sweep_reg = [&](const double* hist, std::size_t f) {
+      const std::vector<float>& cuts = bm->cuts(f);
       int nb = static_cast<int>(cuts.size()) + 1;
       double gl = 0, hl = 0, cnt_l = 0;
       double parent_score = total_g * total_g / (total_h + cfg.lambda);
@@ -372,63 +341,32 @@ void DecisionTree::build(BuildContext& ctx) {
                   .bin = b};
       }
     };
-    auto sweep = [&](const double* hist, const std::vector<float>& cuts,
-                     std::size_t f) {
+    auto sweep = [&](const double* hist, std::size_t f) {
       if (ctx.regression())
-        sweep_reg(hist, cuts, f);
+        sweep_reg(hist, f);
       else
-        sweep_class(hist, cuts, f);
+        sweep_class(hist, f);
     };
 
-    if (bm) {
-      if (subtract_mode) {
-        // Whole-tree cached histogram: the root (or any node whose parent
-        // split on the exact path) accumulates on demand; everyone else
-        // inherited theirs from propagate_hists below.
-        auto it = node_hist.find(node_index);
-        if (it == node_hist.end()) {
-          F64Buffer h = acquire_hist(d * slot);
-          accumulate_binned(begin, end, all_features, h.data());
-          it = node_hist.emplace(node_index, std::move(h)).first;
-        }
-        const double* h = it->second.data();
-        for (std::size_t f : feats) sweep(h + f * slot, bm->cuts(f), f);
-      } else {
-        // Sampled-feature fit: accumulate only this split's candidate
-        // slots into a transient buffer.
-        sampled_hist.assign(feats.size() * slot, 0.0);
-        accumulate_binned(begin, end, feats, sampled_hist.data());
-        for (std::size_t s = 0; s < feats.size(); ++s)
-          sweep(sampled_hist.data() + s * slot, bm->cuts(feats[s]), feats[s]);
+    if (subtract_mode) {
+      // Whole-tree cached histogram: the root (or any node whose parent
+      // split on the exact path) accumulates on demand; everyone else
+      // inherited theirs from propagate_hists below.
+      auto it = node_hist.find(node_index);
+      if (it == node_hist.end()) {
+        F64Buffer h = acquire_hist(d * slot);
+        accumulate_binned(begin, end, all_features, h.data());
+        it = node_hist.emplace(node_index, std::move(h)).first;
       }
+      const double* h = it->second.data();
+      for (std::size_t f : feats) sweep(h + f * slot, f);
     } else {
-      // Legacy path: re-bin every row by binary search, one feature at a
-      // time, against this tree's sampled cut points.
-      for (std::size_t f : feats) {
-        const auto& cuts = ctx.cuts[f];
-        if (cuts.empty()) continue;
-        std::size_t nb = cuts.size() + 1;
-        if (ctx.regression()) {
-          legacy_hist.assign(nb * 3, 0.0);
-          for (std::size_t i = begin; i < end; ++i) {
-            std::uint32_t r = ctx.rows[i];
-            double* cell =
-                legacy_hist.data() +
-                3u * static_cast<std::size_t>(quantize_bin(cuts, (*ctx.x)(r, f)));
-            cell[0] += (*ctx.grad)[r];
-            cell[1] += (*ctx.hess)[r];
-            cell[2] += 1.0;
-          }
-        } else {
-          legacy_hist.assign(nb * k, 0.0);
-          for (std::size_t i = begin; i < end; ++i) {
-            std::uint32_t r = ctx.rows[i];
-            legacy_hist[static_cast<std::size_t>(quantize_bin(cuts, (*ctx.x)(r, f))) * k +
-                        static_cast<std::size_t>((*ctx.y)[r])] += 1.0;
-          }
-        }
-        sweep(legacy_hist.data(), cuts, f);
-      }
+      // Sampled-feature fit: accumulate only this split's candidate slots
+      // into a transient buffer.
+      sampled_hist.assign(feats.size() * slot, 0.0);
+      accumulate_binned(begin, end, feats, sampled_hist.data());
+      for (std::size_t s = 0; s < feats.size(); ++s)
+        sweep(sampled_hist.data() + s * slot, feats[s]);
     }
     if (best.gain < cfg.min_gain) best.feature = -1;
     return best;
@@ -612,71 +550,42 @@ void DecisionTree::build(BuildContext& ctx) {
   }
 }
 
-void DecisionTree::fit_classifier(const Matrix& x, const std::vector<int>& y,
-                                  int num_classes, const TreeConfig& cfg,
-                                  std::mt19937_64& rng,
-                                  const std::vector<std::uint32_t>* subset,
-                                  const BinnedMatrix* binned) {
-  BuildContext ctx;
-  ctx.x = &x;
-  ctx.y = &y;
-  ctx.num_classes = num_classes;
-  ctx.cfg = cfg;
-  ctx.rng = &rng;
-  ctx.src = binned;
-  if (subset) {
-    ctx.rows = *subset;
-  } else {
-    ctx.rows.resize(x.rows());
-    std::iota(ctx.rows.begin(), ctx.rows.end(), 0);
-  }
-  if (!binned) ctx.cuts = compute_cuts(x, ctx.rows, cfg.histogram_bins, rng);
-  build(ctx);
+void DecisionTree::fit_classifier(const Matrix& x, const BinnedMatrix& binned,
+                                  const std::vector<int>& y, int num_classes,
+                                  const TreeConfig& cfg, std::mt19937_64& rng,
+                                  const std::vector<std::uint32_t>* subset) {
+  build({.x = &x, .src = &binned, .y = &y, .num_classes = num_classes,
+         .cfg = cfg, .rng = &rng},
+        subset);
 }
 
-void DecisionTree::fit_regression(const Matrix& x, const std::vector<float>& grad,
+void DecisionTree::fit_regression(const Matrix& x, const BinnedMatrix& binned,
+                                  const std::vector<float>& grad,
                                   const std::vector<float>& hess,
                                   const TreeConfig& cfg, std::mt19937_64& rng,
-                                  const std::vector<std::uint32_t>* subset,
-                                  const BinnedMatrix* binned) {
-  BuildContext ctx;
-  ctx.x = &x;
-  ctx.grad = &grad;
-  ctx.hess = &hess;
-  ctx.cfg = cfg;
-  ctx.rng = &rng;
-  ctx.src = binned;
-  if (subset) {
-    ctx.rows = *subset;
-  } else {
-    ctx.rows.resize(x.rows());
-    std::iota(ctx.rows.begin(), ctx.rows.end(), 0);
-  }
-  if (!binned) ctx.cuts = compute_cuts(x, ctx.rows, cfg.histogram_bins, rng);
-  build(ctx);
+                                  const std::vector<std::uint32_t>* subset) {
+  build({.x = &x, .src = &binned, .grad = &grad, .hess = &hess, .cfg = cfg,
+         .rng = &rng},
+        subset);
 }
+
+namespace {
+/// Out-of-core fits have no raw floats: every split must come from the
+/// histogram sweep so the code partition can replicate it exactly.
+TreeConfig histogram_only(TreeConfig cfg) {
+  cfg.exact_split_max = 0;
+  return cfg;
+}
+}  // namespace
 
 void DecisionTree::fit_classifier_binned(const BinnedColumnSource& src,
                                          const std::vector<int>& y,
                                          int num_classes, const TreeConfig& cfg,
                                          std::mt19937_64& rng,
                                          const std::vector<std::uint32_t>* subset) {
-  BuildContext ctx;
-  ctx.y = &y;
-  ctx.num_classes = num_classes;
-  ctx.cfg = cfg;
-  // No raw floats: every split must come from the histogram sweep so the
-  // code partition can replicate it exactly.
-  ctx.cfg.exact_split_max = 0;
-  ctx.rng = &rng;
-  ctx.src = &src;
-  if (subset) {
-    ctx.rows = *subset;
-  } else {
-    ctx.rows.resize(src.rows());
-    std::iota(ctx.rows.begin(), ctx.rows.end(), 0);
-  }
-  build(ctx);
+  build({.src = &src, .y = &y, .num_classes = num_classes,
+         .cfg = histogram_only(cfg), .rng = &rng},
+        subset);
 }
 
 void DecisionTree::fit_regression_binned(const BinnedColumnSource& src,
@@ -685,20 +594,9 @@ void DecisionTree::fit_regression_binned(const BinnedColumnSource& src,
                                          const TreeConfig& cfg,
                                          std::mt19937_64& rng,
                                          const std::vector<std::uint32_t>* subset) {
-  BuildContext ctx;
-  ctx.grad = &grad;
-  ctx.hess = &hess;
-  ctx.cfg = cfg;
-  ctx.cfg.exact_split_max = 0;
-  ctx.rng = &rng;
-  ctx.src = &src;
-  if (subset) {
-    ctx.rows = *subset;
-  } else {
-    ctx.rows.resize(src.rows());
-    std::iota(ctx.rows.begin(), ctx.rows.end(), 0);
-  }
-  build(ctx);
+  build({.src = &src, .grad = &grad, .hess = &hess, .cfg = histogram_only(cfg),
+         .rng = &rng},
+        subset);
 }
 
 void DecisionTree::predict_value_binned(const BinnedColumnSource& src,

@@ -3,17 +3,13 @@
 // supports both Gini classification splits and second-order (XGBoost-style)
 // regression splits, plus depth-wise and leaf-wise (LightGBM-style) growth.
 //
-// Two large-node split engines share the sweep code:
-//  - the pre-binned path: a BinnedMatrix quantized once per dataset
-//    supplies uint8 bin codes, per-node histograms are accumulated
-//    feature-parallel on the thread pool, and siblings reuse the parent's
-//    histogram via subtraction (fit with `binned != nullptr`);
-//  - the legacy per-tree path: cut points are re-derived per fit and every
-//    row is re-binned by binary search at every node (no `binned`). Kept
-//    for standalone single-tree fits and as the bench baseline.
-// Nodes at or below `exact_split_max` rows always use the exact
-// sorted-sweep search on raw floats, and predict() walks raw-float
-// thresholds, so serving is identical under either engine.
+// One large-node split engine: a BinnedMatrix (or any BinnedColumnSource)
+// quantized once per dataset supplies uint8 bin codes, per-node histograms
+// are accumulated feature-parallel on the thread pool, and siblings reuse
+// the parent's histogram via subtraction. Resident fits also take the raw
+// Matrix: nodes at or below `exact_split_max` rows use the exact
+// sorted-sweep search on raw floats. predict() walks raw-float thresholds
+// (histogram splits record the cut value), so serving never needs codes.
 #pragma once
 
 #include <cstdint>
@@ -45,32 +41,32 @@ struct TreeConfig {
   /// search instead of the shared histogram grid — crucial for composing
   /// fine-grained thresholds (IP octets, sequence ranges) deep in the tree.
   std::size_t exact_split_max = 1024;
-  /// Pre-binned path only: derive the larger child's histogram from the
-  /// parent's by subtracting the smaller child's (halves accumulation work
-  /// per level). Only a test hook — the subtracted counts are exact for
-  /// classification, so leaving it on is always correct.
+  /// Derive the larger child's histogram from the parent's by subtracting
+  /// the smaller child's (halves accumulation work per level). Only a test
+  /// hook — the subtracted counts are exact for classification, so leaving
+  /// it on is always correct.
   bool hist_subtraction = true;
 };
 
 class DecisionTree {
  public:
-  /// Gini-impurity classification fit. `subset` optionally restricts to a
-  /// bag of row indices (with repetition allowed, for bootstrap). When
-  /// `binned` is set (a BinnedMatrix quantized from the same `x`), large
-  /// nodes accumulate histograms from its bin codes instead of re-binning
-  /// by binary search, and no per-tree cut points are derived.
-  void fit_classifier(const Matrix& x, const std::vector<int>& y, int num_classes,
+  /// Gini-impurity classification fit. `binned` must be quantized from
+  /// this same `x` (the caller quantizes once and shares it across trees);
+  /// large nodes accumulate histograms from its codes, small nodes sweep
+  /// the raw floats. `subset` optionally restricts to a bag of row indices
+  /// (with repetition allowed, for bootstrap).
+  void fit_classifier(const Matrix& x, const BinnedMatrix& binned,
+                      const std::vector<int>& y, int num_classes,
                       const TreeConfig& cfg, std::mt19937_64& rng,
-                      const std::vector<std::uint32_t>* subset = nullptr,
-                      const BinnedMatrix* binned = nullptr);
+                      const std::vector<std::uint32_t>* subset = nullptr);
 
   /// Second-order regression fit on per-sample gradient/hessian (gradient
   /// boosting). Leaf value = -G/(H+lambda). `binned` as in fit_classifier.
-  void fit_regression(const Matrix& x, const std::vector<float>& grad,
+  void fit_regression(const Matrix& x, const BinnedMatrix& binned,
+                      const std::vector<float>& grad,
                       const std::vector<float>& hess, const TreeConfig& cfg,
                       std::mt19937_64& rng,
-                      const std::vector<std::uint32_t>* subset = nullptr,
-                      const BinnedMatrix* binned = nullptr);
+                      const std::vector<std::uint32_t>* subset = nullptr);
 
   /// Out-of-core fits: codes come from a BinnedColumnSource (resident or
   /// paged), the raw float matrix is never touched. Every split is a
@@ -121,7 +117,9 @@ class DecisionTree {
   };
 
   struct BuildContext;
-  void build(BuildContext& ctx);
+  /// Shared by every fit entry point: fills ctx.rows from `subset` (or all
+  /// rows of ctx.src) and grows the tree.
+  void build(BuildContext ctx, const std::vector<std::uint32_t>* subset);
   int leaf_index(const float* row) const;
 
   std::vector<Node> nodes_;

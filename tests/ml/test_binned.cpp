@@ -1,13 +1,17 @@
 // Tests for the quantize-once binned training substrate (ml/binned.h):
 // bin-code semantics pinned against the strict '<' partition convention,
 // sketch determinism across pool widths, sibling-subtraction histogram
-// identity vs direct accumulation, and binned-vs-legacy model quality.
+// identity vs direct accumulation, and forest/GBDT fits pinned against the
+// digests and accuracies recorded for the retired per-tree binning engine.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <random>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/artifact.h"
 #include "core/threadpool.h"
 #include "ml/binned.h"
 #include "ml/forest.h"
@@ -158,13 +162,13 @@ TEST(HistogramTree, SiblingSubtractionIdenticalToDirectAccumulation) {
     TreeConfig c = cfg;
     c.hist_subtraction = false;
     std::mt19937_64 rng(9);
-    direct.fit_classifier(x, y, 4, c, rng, nullptr, &bm);
+    direct.fit_classifier(x, bm, y, 4, c, rng);
   }
   {
     TreeConfig c = cfg;
     c.hist_subtraction = true;
     std::mt19937_64 rng(9);
-    subtracted.fit_classifier(x, y, 4, c, rng, nullptr, &bm);
+    subtracted.fit_classifier(x, bm, y, 4, c, rng);
   }
   ASSERT_EQ(direct.node_count(), subtracted.node_count());
   ASSERT_GT(direct.node_count(), 16u) << "histogram path not exercised";
@@ -178,25 +182,71 @@ TEST(HistogramTree, SiblingSubtractionIdenticalToDirectAccumulation) {
     EXPECT_EQ(ia[f], ib[f]) << "feature " << f;
 }
 
-TEST(HistogramTree, BinnedForestMatchesLegacyQuality) {
-  auto [x, y] = make_blobs(3, 250, 5, 1.0, 13);
-  ForestConfig cfg;
-  cfg.num_trees = 12;
-  cfg.seed = 3;
-  cfg.tree.exact_split_max = 32;  // force the histogram path
+/// FNV-1a digest of a vector's raw bytes, as 16 hex digits.
+template <typename V>
+std::string digest(const V& v) {
+  return core::hex64(core::fnv1a64(std::string_view(
+      reinterpret_cast<const char*>(v.data()),
+      v.size() * sizeof(typename V::value_type))));
+}
 
-  cfg.binned = true;
-  RandomForest binned_rf(cfg);
-  binned_rf.fit(x, y, 3);
-  cfg.binned = false;
-  RandomForest legacy_rf(cfg);
-  legacy_rf.fit(x, y, 3);
+TEST(HistogramTree, FitsPinnedToRetiredLegacyEngineRecord) {
+  // The histogram-path-dominated smoke set the legacy per-tree binning
+  // engine was last compared on: gaussian blobs around scrambled lattice
+  // centers, every 5th row held out, 64 bins, exact sweep only at <= 64
+  // rows. The digests were captured before that engine was deleted, so
+  // they prove the deletion left the BinnedMatrix fit bit-identical; the
+  // accuracies recorded for the legacy engine are the quality gate.
+  constexpr int kClasses = 6;
+  constexpr std::size_t kPerClass = 2000, kDims = 24;
+  std::mt19937_64 gen(71);
+  std::normal_distribution<float> noise(0.0f, 2.2f);
+  Matrix xtr(kPerClass * kClasses * 4 / 5, kDims);
+  Matrix xte(kPerClass * kClasses / 5, kDims);
+  std::vector<int> ytr, yte;
+  for (std::size_t row = 0; row < kPerClass * kClasses; ++row) {
+    const int c = static_cast<int>(row / kPerClass);
+    const bool test = row % 5 == 0;
+    float* out = test ? xte.row(yte.size()) : xtr.row(ytr.size());
+    for (std::size_t f = 0; f < kDims; ++f) {
+      const int center = (c * 31 + static_cast<int>(f) * 17) % 7 - 3;
+      out[f] = static_cast<float>(center) + noise(gen);
+    }
+    (test ? yte : ytr).push_back(c);
+  }
 
-  const double acc_binned = evaluate(y, binned_rf.predict(x), 3).accuracy;
-  const double acc_legacy = evaluate(y, legacy_rf.predict(x), 3).accuracy;
-  EXPECT_GT(acc_binned, 0.95);
-  EXPECT_GT(acc_legacy, 0.95);
-  EXPECT_NEAR(acc_binned, acc_legacy, 0.03);
+  ForestConfig fc;
+  fc.num_trees = 10;
+  fc.seed = 17;
+  fc.tree.histogram_bins = 64;
+  fc.tree.exact_split_max = 64;
+  GbdtConfig gc = GbdtConfig::xgboost_style();
+  gc.rounds = 6;
+  gc.tree.histogram_bins = 64;
+  gc.tree.exact_split_max = 64;
+
+  // Legacy engine, same data and configs: forest 0.97375, GBDT 0.9770833.
+  constexpr double kLegacyForestAcc = 0.97375, kLegacyGbdtAcc = 0.9770833;
+  for (std::size_t w : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
+    ScopedThreads threads(w);
+    RandomForest rf(fc);
+    rf.fit(xtr, ytr, kClasses);
+    const auto rf_pred = rf.predict(xte);
+    EXPECT_EQ(digest(rf_pred) + "/" + digest(rf.feature_importance()),
+              "60b19c2636f4e3c3/0885ee716b3dfd67")
+        << "threads " << w;
+    EXPECT_NEAR(evaluate(yte, rf_pred, kClasses).accuracy, kLegacyForestAcc,
+                0.005);
+
+    GradientBoosting gb(gc);
+    gb.fit(xtr, ytr, kClasses);
+    const auto gb_pred = gb.predict(xte);
+    EXPECT_EQ(digest(gb_pred) + "/" + digest(gb.decision_function(xte).data()),
+              "2c75c6d90df02c25/a3311ac20870c926")
+        << "threads " << w;
+    EXPECT_NEAR(evaluate(yte, gb_pred, kClasses).accuracy, kLegacyGbdtAcc,
+                0.005);
+  }
 }
 
 TEST(HistogramTree, GbdtSubtractionPreservesQuality) {
@@ -232,7 +282,6 @@ TEST(HistogramTree, ForestFitDigestIdenticalAcrossPoolWidths) {
   cfg.num_trees = 9;
   cfg.seed = 55;
   cfg.tree.exact_split_max = 32;
-  cfg.binned = true;
 
   std::vector<int> ref_pred;
   std::vector<double> ref_imp;

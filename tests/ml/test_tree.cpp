@@ -2,6 +2,7 @@
 
 #include <random>
 
+#include "ml/binned.h"
 #include "ml/forest.h"
 #include "ml/gbdt.h"
 #include "ml/metrics.h"
@@ -33,8 +34,9 @@ TEST(DecisionTree, SeparatesCleanBlobs) {
   auto [x, y] = make_blobs(3, 60, 4, 0.3, 1);
   DecisionTree tree;
   TreeConfig cfg;
+  const BinnedMatrix bm(x, cfg.histogram_bins);
   std::mt19937_64 rng(2);
-  tree.fit_classifier(x, y, 3, cfg, rng);
+  tree.fit_classifier(x, bm, y, 3, cfg, rng);
   std::vector<int> pred;
   for (std::size_t i = 0; i < x.rows(); ++i) pred.push_back(tree.predict_class(x.row(i)));
   EXPECT_GT(evaluate(y, pred, 3).accuracy, 0.98);
@@ -46,8 +48,9 @@ TEST(DecisionTree, MaxDepthBoundsTree) {
   DecisionTree tree;
   TreeConfig cfg;
   cfg.max_depth = 2;
+  const BinnedMatrix bm(x, cfg.histogram_bins);
   std::mt19937_64 rng(4);
-  tree.fit_classifier(x, y, 4, cfg, rng);
+  tree.fit_classifier(x, bm, y, 4, cfg, rng);
   EXPECT_LE(tree.depth(), 3);  // depth counts nodes; 2 split levels -> <= 3
 }
 
@@ -56,8 +59,9 @@ TEST(DecisionTree, PureNodeBecomesLeaf) {
   std::vector<int> y(10, 0);
   DecisionTree tree;
   TreeConfig cfg;
+  const BinnedMatrix bm(x, cfg.histogram_bins);
   std::mt19937_64 rng(5);
-  tree.fit_classifier(x, y, 2, cfg, rng);
+  tree.fit_classifier(x, bm, y, 2, cfg, rng);
   EXPECT_EQ(tree.node_count(), 1u);
   EXPECT_EQ(tree.predict_class(x.row(0)), 0);
 }
@@ -76,8 +80,9 @@ TEST(DecisionTree, ImportanceIdentifiesInformativeFeature) {
   }
   DecisionTree tree;
   TreeConfig cfg;
+  const BinnedMatrix bm(x, cfg.histogram_bins);
   std::mt19937_64 rng(7);
-  tree.fit_classifier(x, y, 2, cfg, rng);
+  tree.fit_classifier(x, bm, y, 2, cfg, rng);
   const auto& imp = tree.feature_importance();
   EXPECT_GT(imp[0], imp[1] + imp[2] + imp[3]);
 }
@@ -95,8 +100,9 @@ TEST(DecisionTree, RegressionFitsResiduals) {
   TreeConfig cfg;
   cfg.max_depth = 2;
   cfg.lambda = 0.0f;
+  const BinnedMatrix bm(x, cfg.histogram_bins);
   std::mt19937_64 rng(8);
-  tree.fit_regression(x, grad, hess, cfg, rng);
+  tree.fit_regression(x, bm, grad, hess, cfg, rng);
   EXPECT_NEAR(tree.predict_value(x.row(10)), 2.0f, 0.2f);
   EXPECT_NEAR(tree.predict_value(x.row(90)), -4.0f, 0.2f);
 }
@@ -107,13 +113,16 @@ TEST(DecisionTree, LeafWiseGrowthRespectsLeafBudget) {
   TreeConfig cfg;
   cfg.max_leaves = 4;
   cfg.max_depth = 20;
+  const BinnedMatrix bm(x, cfg.histogram_bins);
   std::mt19937_64 rng(10);
-  tree.fit_classifier(x, y, 6, cfg, rng);
+  tree.fit_classifier(x, bm, y, 6, cfg, rng);
   // max_leaves=4 -> at most 3 internal splits -> 7 nodes.
   EXPECT_LE(tree.node_count(), 7u);
 }
 
 TEST(DecisionTree, ExactAndHistogramSplitsAgreeOnEasyData) {
+  // Exact sorted sweep on raw floats at every node vs histogram splits on
+  // BinnedMatrix codes at every node.
   auto [x, y] = make_blobs(2, 200, 3, 0.2, 11);
   std::mt19937_64 rng(12);
   DecisionTree exact, histo;
@@ -121,8 +130,9 @@ TEST(DecisionTree, ExactAndHistogramSplitsAgreeOnEasyData) {
   ce.exact_split_max = 100000;
   TreeConfig ch;
   ch.exact_split_max = 0;
-  exact.fit_classifier(x, y, 2, ce, rng);
-  histo.fit_classifier(x, y, 2, ch, rng);
+  const BinnedMatrix bm(x, ch.histogram_bins);
+  exact.fit_classifier(x, bm, y, 2, ce, rng);
+  histo.fit_classifier(x, bm, y, 2, ch, rng);
   std::size_t agree = 0;
   for (std::size_t i = 0; i < x.rows(); ++i)
     if (exact.predict_class(x.row(i)) == histo.predict_class(x.row(i))) ++agree;
@@ -137,7 +147,8 @@ TEST(RandomForest, BeatsSingleTreeOnNoisyData) {
   DecisionTree tree;
   TreeConfig cfg;
   cfg.features_per_split = 2;
-  tree.fit_classifier(x, y, 5, cfg, rng);
+  const BinnedMatrix bm(x, cfg.histogram_bins);
+  tree.fit_classifier(x, bm, y, 5, cfg, rng);
   std::vector<int> tree_pred;
   for (std::size_t i = 0; i < xt.rows(); ++i)
     tree_pred.push_back(tree.predict_class(xt.row(i)));
@@ -152,6 +163,17 @@ TEST(RandomForest, BeatsSingleTreeOnNoisyData) {
   double rf_acc = evaluate(yt, rf_pred, 5).accuracy;
   EXPECT_GE(rf_acc, tree_acc - 0.02);
   EXPECT_GT(rf_acc, 0.8);
+}
+
+TEST(RandomForest, ZeroRowFitPredictsClassZero) {
+  // An empty training set still quantizes (zero cuts per feature) and
+  // grows single-leaf trees; every prediction falls back to class 0.
+  const Matrix x(0, 3);
+  RandomForest rf;
+  rf.fit(x, {}, 3);
+  Matrix probe(2, 3);
+  probe(1, 0) = 5.0f;
+  EXPECT_EQ(rf.predict(probe), (std::vector<int>{0, 0}));
 }
 
 TEST(RandomForest, ImportanceNormalized) {
@@ -197,6 +219,15 @@ TEST(Gbdt, TreeBudgetCapsRounds) {
   gb.fit(x, y, 10);
   EXPECT_LE(gb.rounds_used() * 10, 50);
   EXPECT_GE(gb.rounds_used(), 3);
+}
+
+TEST(Gbdt, ZeroRowFitPredictsClassZero) {
+  const Matrix x(0, 3);
+  GradientBoosting gb;
+  gb.fit(x, {}, 3);
+  Matrix probe(2, 3);
+  probe(1, 0) = 5.0f;
+  EXPECT_EQ(gb.predict(probe), (std::vector<int>{0, 0}));
 }
 
 TEST(Gbdt, DecisionFunctionShape) {

@@ -9,10 +9,10 @@
 #                               artifact, TSan over concurrent span emission)
 #                               + the three-mode scripts/profile.sh harness
 #   scripts/check.sh serve      online-engine matrix: flow-table/engine/
-#                               determinism/stream-fault unit tests, the
-#                               bench_serve load ladder + fault matrix at
-#                               smoke scale, and the serve concurrency
-#                               stress under TSan
+#                               determinism/stream-fault/snapshot-format
+#                               unit tests, the bench_serve load ladder +
+#                               fault matrix at smoke scale, and the serve
+#                               concurrency stress under TSan
 #   scripts/check.sh trees      histogram-tree matrix: quantize/binned/
 #                               tree/forest/gbdt unit tests (incl. the
 #                               sibling-subtraction identity, fit digests
@@ -107,11 +107,12 @@ trace() {
 serve() {
   configure_build build-check
   # The serving tier end-to-end: table/engine/determinism unit tests, the
-  # streaming fault modes, the overload bench with its json_check'd
-  # artifact (latency percentiles + monotone shed/evict snapshots), and
-  # the concurrency stress in its plain-build form.
+  # snapshot codec (its queue section holds the engine's prepared packet
+  # records), the streaming fault modes, the overload bench with its
+  # json_check'd artifact (latency percentiles + monotone shed/evict
+  # snapshots), and the concurrency stress in its plain-build form.
   run ctest --test-dir build-check --output-on-failure -j "$JOBS" \
-      -R 'FlowTable|ServeEngine|ServeDeterminism|ServeStress|StreamFaults|serve_stress|bench_serve'
+      -R 'FlowTable|ServeEngine|ServeDeterminism|ServeStress|StreamFaults|Snapshot|serve_stress|bench_serve'
   # Shard workers vs stats snapshotters vs the idle evictor under TSan.
   configure_build build-tsan -DSUGAR_SANITIZE=thread
   run ctest --test-dir build-tsan --output-on-failure -R serve_stress

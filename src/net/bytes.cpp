@@ -1,43 +1,6 @@
 #include "net/bytes.h"
 
-#include <algorithm>
-
 namespace sugar::net {
-
-void ByteReader::seek(std::size_t offset) {
-  if (offset > data_.size()) {
-    fail();
-    return;
-  }
-  pos_ = offset;
-}
-
-void ByteReader::skip(std::size_t n) {
-  if (!need(n)) return;
-  pos_ += n;
-}
-
-std::uint8_t ByteReader::u8() {
-  if (!need(1)) return 0;
-  return data_[pos_++];
-}
-
-std::uint16_t ByteReader::u16be() {
-  if (!need(2)) return 0;
-  std::uint16_t v = static_cast<std::uint16_t>(data_[pos_] << 8 | data_[pos_ + 1]);
-  pos_ += 2;
-  return v;
-}
-
-std::uint32_t ByteReader::u32be() {
-  if (!need(4)) return 0;
-  std::uint32_t v = static_cast<std::uint32_t>(data_[pos_]) << 24 |
-                    static_cast<std::uint32_t>(data_[pos_ + 1]) << 16 |
-                    static_cast<std::uint32_t>(data_[pos_ + 2]) << 8 |
-                    static_cast<std::uint32_t>(data_[pos_ + 3]);
-  pos_ += 4;
-  return v;
-}
 
 std::uint64_t ByteReader::u64be() {
   std::uint64_t hi = u32be();
@@ -60,13 +23,6 @@ std::uint32_t ByteReader::u32le() {
                     static_cast<std::uint32_t>(data_[pos_ + 3]) << 24;
   pos_ += 4;
   return v;
-}
-
-bool ByteReader::bytes(std::uint8_t* out, std::size_t n) {
-  if (!need(n)) return false;
-  std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(pos_), n, out);
-  pos_ += n;
-  return true;
 }
 
 std::span<const std::uint8_t> ByteReader::view(std::size_t n) {

@@ -4,6 +4,7 @@
 // file format only.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -25,20 +26,52 @@ class ByteReader {
     return pos_ <= data_.size() ? data_.size() - pos_ : 0;
   }
 
-  /// Absolute reposition. Seeking past the end poisons the reader.
-  void seek(std::size_t offset);
-  /// Relative forward skip.
-  void skip(std::size_t n);
+  // The accessors the packet parser calls per header field are defined
+  // inline here; the rest live in bytes.cpp.
 
-  std::uint8_t u8();
-  std::uint16_t u16be();
-  std::uint32_t u32be();
+  /// Absolute reposition. Seeking past the end poisons the reader.
+  void seek(std::size_t offset) {
+    if (offset > data_.size()) {
+      fail();
+      return;
+    }
+    pos_ = offset;
+  }
+  /// Relative forward skip.
+  void skip(std::size_t n) {
+    if (need(n)) pos_ += n;
+  }
+
+  std::uint8_t u8() {
+    if (!need(1)) return 0;
+    return data_[pos_++];
+  }
+  std::uint16_t u16be() {
+    if (!need(2)) return 0;
+    const auto v = static_cast<std::uint16_t>(data_[pos_] << 8 | data_[pos_ + 1]);
+    pos_ += 2;
+    return v;
+  }
+  std::uint32_t u32be() {
+    if (!need(4)) return 0;
+    const std::uint32_t v = static_cast<std::uint32_t>(data_[pos_]) << 24 |
+                            static_cast<std::uint32_t>(data_[pos_ + 1]) << 16 |
+                            static_cast<std::uint32_t>(data_[pos_ + 2]) << 8 |
+                            static_cast<std::uint32_t>(data_[pos_ + 3]);
+    pos_ += 4;
+    return v;
+  }
   std::uint64_t u64be();
   std::uint16_t u16le();
   std::uint32_t u32le();
 
   /// Copies n bytes into out; poisons and leaves out untouched on underflow.
-  bool bytes(std::uint8_t* out, std::size_t n);
+  bool bytes(std::uint8_t* out, std::size_t n) {
+    if (!need(n)) return false;
+    std::copy_n(data_.data() + pos_, n, out);
+    pos_ += n;
+    return true;
+  }
   /// Returns a view of n bytes without copying, or an empty span on underflow.
   std::span<const std::uint8_t> view(std::size_t n);
 

@@ -1,5 +1,7 @@
 #include "net/parser.h"
 
+#include <utility>
+
 #include "net/bytes.h"
 
 namespace sugar::net {
@@ -89,7 +91,7 @@ ParseOutcome parse_packet(const Packet& pkt) {
     r.bytes(arp.target_mac.octets.data(), 6);
     arp.target_ip.value = r.u32be();
     out.arp = arp;
-    return {.parsed = out, .error = std::nullopt};
+    return {.parsed = std::move(out), .error = std::nullopt};
   }
 
   std::uint8_t l4_proto = 0;
@@ -143,7 +145,7 @@ ParseOutcome parse_packet(const Packet& pkt) {
     l4_len_available = std::min<std::size_t>(ip.payload_length, r.remaining());
   } else {
     // Unknown L3 (LLC, vendor protocols): stop after Ethernet.
-    return {.parsed = out, .error = std::nullopt};
+    return {.parsed = std::move(out), .error = std::nullopt};
   }
 
   switch (static_cast<IpProto>(l4_proto)) {
@@ -203,7 +205,7 @@ ParseOutcome parse_packet(const Packet& pkt) {
       break;
   }
 
-  return {.parsed = out, .error = std::nullopt};
+  return {.parsed = std::move(out), .error = std::nullopt};
 }
 
 SpuriousCategory classify_spurious(const ParsedPacket& p) {

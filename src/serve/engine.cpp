@@ -8,6 +8,7 @@
 #include "core/threadpool.h"
 #include "core/trace.h"
 #include "net/parser.h"
+#include "replearn/featurize.h"
 
 namespace sugar::serve {
 namespace {
@@ -19,11 +20,12 @@ std::uint64_t now_ns() {
           .count());
 }
 
-/// Per-thread mean-feature scratch; sized on first use per engine dim.
-std::vector<float>& mean_scratch(std::size_t dim) {
+/// Per-thread feature scratch (offer()'s record features, classify's
+/// mean); sized on first use per engine dim.
+float* feature_scratch(std::size_t dim) {
   thread_local std::vector<float> scratch;
   if (scratch.size() < dim) scratch.resize(dim);
-  return scratch;
+  return scratch.data();
 }
 
 }  // namespace
@@ -63,8 +65,11 @@ ServeEngine::ServeEngine(ServeConfig cfg,
           };
         }
         return t;
-      }()) {
-  feature_dim_ = table_.config().feature_dim;
+      }()),
+      feature_dim_(table_.config().feature_dim),
+      queue_(feature_dim_, cfg_.queue_capacity + cfg_.batch_size),
+      order_(table_.shard_count()),
+      deltas_(table_.shard_count()) {
   shard_active_ = std::vector<std::atomic<std::uint8_t>>(table_.shard_count());
   quarantined_ = std::vector<std::atomic<std::uint8_t>>(table_.shard_count());
   clean_rounds_ = std::vector<std::atomic<std::uint32_t>>(table_.shard_count());
@@ -90,15 +95,79 @@ ServeEngine::~ServeEngine() {
   }
 }
 
+void ServeEngine::RecordQueue::put(std::size_t at, const PacketRecord& r,
+                                   const float* f) {
+  recs_[at] = r;
+  std::copy_n(f, dim_, feats_.data() + at * dim_);
+}
+
+void ServeEngine::RecordQueue::grow() {
+  const std::size_t cap = recs_.size();
+  const std::size_t next =
+      std::max(cap + 1, std::min(std::max<std::size_t>(16, 2 * cap), limit_));
+  std::vector<PacketRecord> recs(next);
+  std::vector<float> feats(next * dim_);
+  const std::size_t n = size_;
+  pop_front(n, recs.data(), feats.data());  // unwraps the ring in order
+  recs_.swap(recs);
+  feats_.swap(feats);
+  size_ = n;
+}
+
+void ServeEngine::RecordQueue::push_back(const PacketRecord& r, const float* f) {
+  if (size_ == recs_.size()) grow();
+  put(slot(size_), r, f);
+  ++size_;
+}
+
+void ServeEngine::RecordQueue::push_front(const PacketRecord& r, const float* f) {
+  if (size_ == recs_.size()) grow();
+  head_ = head_ == 0 ? recs_.size() - 1 : head_ - 1;
+  put(head_, r, f);
+  ++size_;
+}
+
+void ServeEngine::RecordQueue::pop_front(std::size_t n, PacketRecord* out,
+                                         float* out_f) {
+  // At most two contiguous runs: head_ to the end of the ring, then from 0.
+  const std::size_t first = std::min(n, recs_.size() - head_);
+  std::copy_n(recs_.data() + head_, first, out);
+  std::copy_n(feats_.data() + head_ * dim_, first * dim_, out_f);
+  std::copy_n(recs_.data(), n - first, out + first);
+  std::copy_n(feats_.data(), (n - first) * dim_, out_f + first * dim_);
+  head_ = n == size_ ? 0 : slot(n);
+  size_ -= n;
+}
+
 bool ServeEngine::offer(const net::Packet& pkt) {
   offered_.fetch_add(1, std::memory_order_relaxed);
+  PacketRecord rec;
+  rec.ts_usec = pkt.ts_usec;
+  rec.enq_ns = now_ns();
+  float* features = feature_scratch(feature_dim_);
+  const auto parsed = net::parse_packet(pkt);
+  bool forward = false;
+  if (!parsed.ok()) {
+    rec.kind = RecordKind::kMalformed;
+  } else if (!net::FlowKey::from_parsed(*parsed.parsed, rec.key, forward)) {
+    rec.kind = RecordKind::kKeyless;
+  } else {
+    rec.kind = RecordKind::kOk;
+    rec.hash = net::FlowKeyHash{}(rec.key);
+    replearn::extract_header_features(pkt, *parsed.parsed, cfg_.features.spec,
+                                      features);
+  }
+  // Non-ok records carry zero features, so a record (and its snapshot
+  // bytes) stays a pure function of the frame.
+  if (rec.kind != RecordKind::kOk) std::fill_n(features, feature_dim_, 0.0f);
+
   std::lock_guard<std::mutex> lock(queue_mu_);
   if (queue_.size() >= cfg_.queue_capacity) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     SUGAR_TRACE_COUNT("serve.backpressure.rejected", 1);
     return false;
   }
-  queue_.push_back(QueueEntry{pkt, now_ns()});
+  queue_.push_back(rec, features);
   peak_queue_depth_ = std::max<std::uint64_t>(peak_queue_depth_, queue_.size());
   return true;
 }
@@ -148,7 +217,7 @@ void ServeEngine::classify_into(std::size_t shard, const FlowView& v,
   // Mean over the packets actually folded in. The 1/n-multiply matches
   // batch_flow_features() exactly, so an at-N verdict is bit-identical to
   // the offline feature of the same prefix.
-  auto& mean = mean_scratch(feature_dim_);
+  float* mean = feature_scratch(feature_dim_);
   const float inv = 1.0f / static_cast<float>(v.feature_packets);
   for (std::size_t d = 0; d < feature_dim_; ++d)
     mean[d] = v.feature_sum[d] * inv;
@@ -161,7 +230,7 @@ void ServeEngine::classify_into(std::size_t shard, const FlowView& v,
     clf = cfg_.fallback.get();
     via_fallback = true;
   }
-  const int label = clf ? clf->classify(mean.data()) : -1;
+  const int label = clf ? clf->classify(mean) : -1;
   if (via_fallback) ++delta.counters.fallback_classified;
   if (reason == VerdictReason::kFirstN)
     ++delta.counters.classified_at_n;
@@ -181,10 +250,7 @@ void ServeEngine::classify_into(std::size_t shard, const FlowView& v,
 }
 
 void ServeEngine::process_shard(std::size_t shard,
-                                const std::vector<QueueEntry>& batch,
                                 const std::vector<std::uint32_t>& order,
-                                const std::vector<net::FlowKey>& keys,
-                                const std::vector<float>& features,
                                 std::uint64_t round_now, ShedStage stage,
                                 RoundDelta& delta) {
   SUGAR_TRACE_SPAN("serve.shard");
@@ -210,9 +276,9 @@ void ServeEngine::process_shard(std::size_t shard,
       break;
     }
     const std::uint32_t idx = order[oi];
-    const QueueEntry& entry = batch[idx];
-    auto res = table_.touch(shard, keys[idx], entry.pkt.ts_usec,
-                            features.data() + std::size_t{idx} * feature_dim_,
+    const PacketRecord& rec = batch_[idx];
+    auto res = table_.touch(shard, rec.key, rec.hash, rec.ts_usec,
+                            batch_features_.data() + std::size_t{idx} * feature_dim_,
                             admit_new);
     switch (res.status) {
       case ShardedFlowTable::TouchStatus::kNotAdmitted:
@@ -264,109 +330,90 @@ void ServeEngine::process_shard(std::size_t shard,
   const std::uint64_t end_ns = now_ns();
   for (std::size_t oi = 0; oi < processed; ++oi)
     delta.latency.record(end_ns -
-                         std::min(end_ns, batch[order[oi]].enq_ns));
+                         std::min(end_ns, batch_[order[oi]].enq_ns));
 }
 
 std::size_t ServeEngine::pump() {
   std::lock_guard<std::mutex> pump_lock(pump_mu_);
   SUGAR_TRACE_SPAN("serve.pump");
 
-  std::vector<QueueEntry> batch;
+  // Copy the batch out under the lock: offer() may grow (reallocate) the
+  // ring while this round runs.
   std::size_t depth_at_start = 0;
+  std::size_t n = 0;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     depth_at_start = queue_.size();
-    const std::size_t n = std::min(cfg_.batch_size, queue_.size());
-    batch.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-    }
+    n = std::min(cfg_.batch_size, queue_.size());
+    batch_.resize(n);
+    batch_features_.resize(n * feature_dim_);
+    queue_.pop_front(n, batch_.data(), batch_features_.data());
   }
   const ShedStage stage = evaluate_stage(depth_at_start, table_.live_total());
-  if (batch.empty()) return 0;
+  if (n == 0) return 0;
 
-  const std::size_t n = batch.size();
   const std::size_t shards = table_.shard_count();
 
-  // Prepare phase: parse, key and featurize every packet in parallel
-  // blocks (fixed grain — deterministic at any thread count).
-  enum : std::uint8_t { kOk = 0, kKeyless = 1, kMalformed = 2 };
-  std::vector<net::FlowKey> keys(n);
-  std::vector<std::uint8_t> kind(n, kMalformed);
-  std::vector<float> features(n * feature_dim_);
-  core::global_pool().parallel_for(0, n, 64, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      auto parsed = net::parse_packet(batch[i].pkt);
-      if (!parsed.ok()) {
-        kind[i] = kMalformed;
-        continue;
-      }
-      bool forward = false;
-      if (!net::FlowKey::from_parsed(*parsed.parsed, keys[i], forward)) {
-        kind[i] = kKeyless;
-        continue;
-      }
-      kind[i] = kOk;
-      replearn::extract_header_features(batch[i].pkt, *parsed.parsed,
-                                        cfg_.features.spec,
-                                        features.data() + i * feature_dim_);
-    }
-  });
-
   // Partition by flow-key hash (pure function of the key, so the shard a
-  // packet lands on never depends on the arrival thread).
+  // packet lands on never depends on the arrival thread). Malformed and
+  // keyless records are counted by the round that consumes them.
   RoundDelta base;
-  std::vector<std::vector<std::uint32_t>> order(shards);
+  for (auto& o : order_) o.clear();
   std::uint64_t round_now = virtual_now_usec_.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < n; ++i)
-    round_now = std::max(round_now, batch[i].pkt.ts_usec);
   for (std::size_t i = 0; i < n; ++i) {
-    if (kind[i] == kMalformed) {
+    const PacketRecord& rec = batch_[i];
+    round_now = std::max(round_now, rec.ts_usec);
+    if (rec.kind == RecordKind::kMalformed) {
       ++base.counters.packets_malformed;
-    } else if (kind[i] == kKeyless) {
+    } else if (rec.kind == RecordKind::kKeyless) {
       ++base.counters.packets_keyless;
     } else {
-      order[table_.shard_of(keys[i])].push_back(static_cast<std::uint32_t>(i));
+      order_[table_.shard_of_hash(rec.hash)].push_back(
+          static_cast<std::uint32_t>(i));
     }
   }
   virtual_now_usec_.store(round_now, std::memory_order_relaxed);
 
-  // Shard phase: one worker per shard, heartbeat per completed shard so
-  // the watchdog can tell a slow round from a stuck one, active markers so
-  // it knows WHICH shard to quarantine.
-  std::vector<RoundDelta> deltas(shards);
+  // Shard phase, the round's only fork-join: one worker per shard,
+  // heartbeat per completed shard so the watchdog can tell a slow round
+  // from a stuck one, active markers so it knows WHICH shard to quarantine.
+  for (RoundDelta& d : deltas_) {
+    d.counters = ServeCounters{};
+    d.latency = LatencyHistogram{};
+    d.verdicts.clear();
+    d.requeued.clear();
+  }
   round_abort_.store(false, std::memory_order_release);
   round_active_.store(true, std::memory_order_release);
   core::global_pool().parallel_for(0, shards, 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t s = lo; s < hi; ++s) {
       shard_active_[s].store(1, std::memory_order_release);
-      process_shard(s, batch, order[s], keys, features, round_now, stage,
-                    deltas[s]);
+      process_shard(s, order_[s], round_now, stage, deltas_[s]);
       shard_active_[s].store(0, std::memory_order_release);
       heartbeat_.fetch_add(1, std::memory_order_relaxed);
     }
   });
   round_active_.store(false, std::memory_order_release);
 
-  // Packets an aborted round skipped go back to the FRONT of the queue in
+  // Records an aborted round skipped go back to the FRONT of the queue in
   // arrival order, so the restarted round sees the same stream.
   std::vector<std::uint32_t> requeued;
-  for (RoundDelta& d : deltas)
+  for (RoundDelta& d : deltas_)
     requeued.insert(requeued.end(), d.requeued.begin(), d.requeued.end());
   if (!requeued.empty()) {
     std::sort(requeued.begin(), requeued.end());
     std::lock_guard<std::mutex> lock(queue_mu_);
     for (auto it = requeued.rbegin(); it != requeued.rend(); ++it)
-      queue_.push_front(std::move(batch[*it]));
+      queue_.push_front(batch_[*it],
+                        batch_features_.data() + std::size_t{*it} * feature_dim_);
     base.counters.packets_requeued += requeued.size();
   }
 
   // Malformed/keyless packets complete here; give them a latency sample too.
   const std::uint64_t end_ns = now_ns();
   for (std::size_t i = 0; i < n; ++i)
-    if (kind[i] != kOk)
-      base.latency.record(end_ns - std::min(end_ns, batch[i].enq_ns));
+    if (batch_[i].kind != RecordKind::kOk)
+      base.latency.record(end_ns - std::min(end_ns, batch_[i].enq_ns));
   // Requeued packets will be counted when a later round consumes them.
   base.counters.packets_processed += n - requeued.size();
   ++base.counters.rounds;
@@ -375,7 +422,7 @@ std::size_t ServeEngine::pump() {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.counters.merge(base.counters);
     stats_.latency.merge(base.latency);
-    merge_deltas(deltas);
+    merge_deltas(deltas_);
     peak_flows_ = std::max<std::uint64_t>(peak_flows_, table_.live_total());
   }
 

@@ -1,10 +1,12 @@
 // ServeEngine: the online classification pipeline. Packets enter through a
-// bounded ingest queue (offer(), thread-safe, explicit backpressure); pump()
-// drains one batch and runs a deterministic round on the shared
-// core::ThreadPool — parse + featurize in parallel blocks, partition by
-// flow-key hash, then one worker per shard folds its packets into the
-// ShardedFlowTable in arrival order, classifying flows at first-N packets
-// and on eviction.
+// bounded ingest queue (offer(), thread-safe, explicit backpressure). offer()
+// does the per-packet work once, on the producer's thread and outside the
+// queue lock: parse, flow key, FlowKeyHash and the header features. The
+// queue holds those fixed-size prepared records, never the frame bytes.
+// pump() drains one batch, partitions it by hash % shards and runs a
+// deterministic round on the shared core::ThreadPool — one fork-join, one
+// worker per shard folding its packets into the ShardedFlowTable in arrival
+// order, classifying flows at first-N packets and on eviction.
 //
 // Overload control is a three-stage shed ladder evaluated (with hysteresis)
 // at every round boundary from queue depth and table occupancy:
@@ -21,7 +23,9 @@
 //
 // Every transition and every shed decision is counted in ServeStats — the
 // engine degrades observably, never silently, and its memory is bounded by
-// queue_capacity frames + the flow table's preallocated slabs.
+// the queue's records (queue_capacity × (sizeof(PacketRecord) +
+// 4·feature_dim) bytes, plus the at most batch_size records an aborted round
+// puts back) + the flow table's slabs + one batch of round scratch.
 //
 // Determinism: given the same packet sequence and the same offer()/pump()
 // schedule, verdicts and every eviction/shed counter are identical at any
@@ -39,7 +43,7 @@
 //               classifications route to cfg.fallback (when present) until
 //               the shard completes two clean rounds
 //   4x timeout  abort: round_abort_ asks shard workers to bail; their
-//               unprocessed packets are re-queued at the front of the
+//               unprocessed records are re-queued at the front of the
 //               ingest queue in arrival order and re-drained next round
 //
 // Crash tolerance: save_snapshot()/restore_snapshot() (see snapshot.h)
@@ -53,7 +57,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -144,11 +147,13 @@ class ServeEngine {
   ServeEngine(const ServeEngine&) = delete;
   ServeEngine& operator=(const ServeEngine&) = delete;
 
-  /// Enqueues one packet. False (with packets_rejected++) when the bounded
-  /// queue is full — the explicit backpressure signal. Thread-safe.
+  /// Prepares one packet (parse, key, hash, features) and enqueues the
+  /// record. False (with packets_rejected++) when the bounded queue is
+  /// full — the explicit backpressure signal. Thread-safe; concurrent
+  /// producers prepare in parallel. The frame is not retained.
   bool offer(const net::Packet& pkt);
 
-  /// Drains and processes one batch. Returns packets processed (0 when the
+  /// Drains and processes one batch. Returns packets drained (0 when the
   /// queue was empty). Concurrent pump() calls serialize. Thread-safe
   /// against offer(), stats(), evict_idle_now() and flush().
   std::size_t pump();
@@ -209,9 +214,51 @@ class ServeEngine {
   }
 
  private:
-  struct QueueEntry {
-    net::Packet pkt;
+  enum class RecordKind : std::uint8_t { kOk = 0, kKeyless = 1, kMalformed = 2 };
+
+  /// One packet as offer() prepared it: everything a round reads, nothing
+  /// of the frame. A pure function of the frame (plus the enqueue time).
+  /// Its feature_dim header features live in the queue's parallel slab.
+  struct PacketRecord {
+    net::FlowKey key;      // zero unless kind == kOk
+    std::size_t hash = 0;  // net::FlowKeyHash{}(key); shard = hash % shards
+    std::uint64_t ts_usec = 0;
     std::uint64_t enq_ns = 0;
+    RecordKind kind = RecordKind::kMalformed;
+  };
+
+  /// FIFO ring of records plus a parallel feature slab. Grows by doubling
+  /// on demand (never allocated up front) up to `limit` records; push_front
+  /// lets an aborted round put its records back in arrival order.
+  class RecordQueue {
+   public:
+    RecordQueue(std::size_t dim, std::size_t limit) : dim_(dim), limit_(limit) {}
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] const PacketRecord& record(std::size_t i) const {
+      return recs_[slot(i)];
+    }
+    [[nodiscard]] const float* features(std::size_t i) const {
+      return feats_.data() + slot(i) * dim_;
+    }
+    void push_back(const PacketRecord& r, const float* f);
+    void push_front(const PacketRecord& r, const float* f);
+    /// Copies the first n records/features to out/out_f and drops them.
+    void pop_front(std::size_t n, PacketRecord* out, float* out_f);
+
+   private:
+    [[nodiscard]] std::size_t slot(std::size_t i) const {
+      const std::size_t j = head_ + i;
+      return j < recs_.size() ? j : j - recs_.size();
+    }
+    void put(std::size_t at, const PacketRecord& r, const float* f);
+    void grow();
+
+    std::size_t dim_;
+    std::size_t limit_;
+    std::vector<PacketRecord> recs_;
+    std::vector<float> feats_;  // recs_.size() x dim_
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
   };
 
   /// Per-shard, per-round accumulation merged serially in shard order.
@@ -222,10 +269,7 @@ class ServeEngine {
     std::vector<std::uint32_t> requeued;  // batch indices an abort skipped
   };
 
-  void process_shard(std::size_t shard, const std::vector<QueueEntry>& batch,
-                     const std::vector<std::uint32_t>& order,
-                     const std::vector<net::FlowKey>& keys,
-                     const std::vector<float>& features,
+  void process_shard(std::size_t shard, const std::vector<std::uint32_t>& order,
                      std::uint64_t round_now, ShedStage stage,
                      RoundDelta& delta);
   void classify_into(std::size_t shard, const FlowView& v,
@@ -239,10 +283,16 @@ class ServeEngine {
   ShardedFlowTable table_;
   std::size_t feature_dim_ = 0;
 
-  // Ingest queue.
+  // Ingest queue (queue_mu_ guards queue_ and peak_queue_depth_).
   mutable std::mutex queue_mu_;
-  std::deque<QueueEntry> queue_;
+  RecordQueue queue_;
   std::uint64_t peak_queue_depth_ = 0;
+
+  // Round scratch, reused every round (pump_mu_ guards it).
+  std::vector<PacketRecord> batch_;
+  std::vector<float> batch_features_;            // batch_.size() x feature_dim_
+  std::vector<std::vector<std::uint32_t>> order_;  // batch indices per shard
+  std::vector<RoundDelta> deltas_;               // one per shard
 
   // offer()-side counters (atomic: hot path, no round context).
   std::atomic<std::uint64_t> offered_{0};

@@ -18,10 +18,10 @@ ShardedFlowTable::ShardedFlowTable(FlowTableConfig cfg) : cfg_(cfg) {
 }
 
 std::size_t ShardedFlowTable::bytes_per_flow() const {
-  // One slot, its feature accumulator, and one index entry (key + value +
-  // bucket pointer, approximated as 2 pointers of overhead).
-  return sizeof(Slot) + cfg_.feature_dim * sizeof(float) +
-         sizeof(net::FlowKey) + sizeof(std::uint32_t) + 2 * sizeof(void*);
+  // One slot, its feature accumulator, and one index entry (key + hash +
+  // value + bucket pointer, approximated as 2 pointers of overhead).
+  return sizeof(Slot) + cfg_.feature_dim * sizeof(float) + sizeof(IndexKey) +
+         sizeof(std::uint32_t) + 2 * sizeof(void*);
 }
 
 std::size_t ShardedFlowTable::bytes_cap() const {
@@ -54,8 +54,31 @@ void ShardedFlowTable::lru_push_head(Shard& s, std::uint32_t i) {
   if (s.lru_tail == kNil) s.lru_tail = i;
 }
 
+std::uint32_t ShardedFlowTable::insert_locked(Shard& s, const net::FlowKey& key,
+                                              std::size_t hash) {
+  std::uint32_t i;
+  if (!s.free.empty()) {
+    i = s.free.back();
+    s.free.pop_back();
+  } else {
+    i = static_cast<std::uint32_t>(s.slots.size());
+    s.slots.emplace_back();
+    s.features.resize(s.slots.size() * cfg_.feature_dim, 0.0f);
+  }
+  Slot& slot = s.slots[i];
+  slot = Slot{};
+  slot.key = key;
+  slot.hash = hash;
+  slot.live = true;
+  s.index.emplace(IndexKey{key, hash}, i);
+  ++s.live;
+  lru_push_head(s, i);
+  return i;
+}
+
 ShardedFlowTable::TouchResult ShardedFlowTable::touch(std::size_t shard,
                                                       const net::FlowKey& key,
+                                                      std::size_t hash,
                                                       std::uint64_t ts_usec,
                                                       const float* features,
                                                       bool admit_new) {
@@ -63,7 +86,8 @@ ShardedFlowTable::TouchResult ShardedFlowTable::touch(std::size_t shard,
   std::lock_guard<std::mutex> lock(s.mu);
   TouchResult res;
 
-  auto it = s.index.find(key);
+  std::uint32_t i = kNil;
+  auto it = s.index.find(IndexKey{key, hash});
   if (it == s.index.end()) {
     if (!admit_new) {
       res.status = TouchStatus::kNotAdmitted;
@@ -73,34 +97,18 @@ ShardedFlowTable::TouchResult ShardedFlowTable::touch(std::size_t shard,
       res.status = TouchStatus::kFull;
       return res;
     }
-    std::uint32_t i;
-    if (!s.free.empty()) {
-      i = s.free.back();
-      s.free.pop_back();
-    } else {
-      i = static_cast<std::uint32_t>(s.slots.size());
-      s.slots.emplace_back();
-      s.features.resize(s.slots.size() * cfg_.feature_dim, 0.0f);
-    }
-    Slot& slot = s.slots[i];
-    slot = Slot{};
-    slot.key = key;
-    slot.first_ts_usec = ts_usec;
-    slot.live = true;
+    i = insert_locked(s, key, hash);
+    s.slots[i].first_ts_usec = ts_usec;
     std::fill_n(s.features.data() + std::size_t{i} * cfg_.feature_dim,
                 cfg_.feature_dim, 0.0f);
-    s.index.emplace(key, i);
-    ++s.live;
-    lru_push_head(s, i);
-    it = s.index.find(key);
     res.status = TouchStatus::kCreated;
   } else {
+    i = it->second;
     res.status = TouchStatus::kExisting;
-    lru_unlink(s, it->second);
-    lru_push_head(s, it->second);
+    lru_unlink(s, i);
+    lru_push_head(s, i);
   }
 
-  const std::uint32_t i = it->second;
   Slot& slot = s.slots[i];
   slot.last_ts_usec = std::max(slot.last_ts_usec, ts_usec);
   ++slot.packets;
@@ -143,7 +151,7 @@ FlowView ShardedFlowTable::view(std::size_t shard, std::uint32_t slot) const {
 
 void ShardedFlowTable::release_locked(Shard& s, std::uint32_t i) {
   lru_unlink(s, i);
-  s.index.erase(s.slots[i].key);
+  s.index.erase(IndexKey{s.slots[i].key, s.slots[i].hash});
   s.slots[i].live = false;
   s.free.push_back(i);
   --s.live;
@@ -233,30 +241,17 @@ bool ShardedFlowTable::restore_flow(std::size_t shard, const FlowRecord& record)
   Shard& s = shards_[shard];
   std::lock_guard<std::mutex> lock(s.mu);
   if (s.live >= per_shard_cap_) return false;
-  if (s.index.count(record.key)) return false;
-  std::uint32_t i;
-  if (!s.free.empty()) {
-    i = s.free.back();
-    s.free.pop_back();
-  } else {
-    i = static_cast<std::uint32_t>(s.slots.size());
-    s.slots.emplace_back();
-    s.features.resize(s.slots.size() * cfg_.feature_dim, 0.0f);
-  }
+  const std::size_t hash = net::FlowKeyHash{}(record.key);
+  if (s.index.count(IndexKey{record.key, hash})) return false;
+  const std::uint32_t i = insert_locked(s, record.key, hash);
   Slot& slot = s.slots[i];
-  slot = Slot{};
-  slot.key = record.key;
   slot.first_ts_usec = record.first_ts_usec;
   slot.last_ts_usec = record.last_ts_usec;
   slot.packets = record.packets;
   slot.feature_packets = record.feature_packets;
   slot.classified = record.classified;
-  slot.live = true;
   std::copy(record.feature_sum.begin(), record.feature_sum.end(),
             s.features.data() + std::size_t{i} * cfg_.feature_dim);
-  s.index.emplace(record.key, i);
-  ++s.live;
-  lru_push_head(s, i);
   return true;
 }
 

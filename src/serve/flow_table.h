@@ -81,7 +81,11 @@ class ShardedFlowTable {
 
   /// Shard a key belongs to — a pure function of the key.
   [[nodiscard]] std::size_t shard_of(const net::FlowKey& key) const {
-    return net::FlowKeyHash{}(key) % shards_.size();
+    return shard_of_hash(net::FlowKeyHash{}(key));
+  }
+  /// shard_of() for a key whose FlowKeyHash the caller already holds.
+  [[nodiscard]] std::size_t shard_of_hash(std::size_t hash) const {
+    return hash % shards_.size();
   }
 
   enum class TouchStatus : std::uint8_t {
@@ -102,9 +106,17 @@ class ShardedFlowTable {
   /// Folds one packet into its flow: bumps timestamps/counts, accumulates
   /// `features` (feature_dim floats) while under classify_at, moves the
   /// flow to the LRU head. `admit_new` false refuses to create new flows.
+  /// `hash` must be net::FlowKeyHash{}(key): the engine computes it once
+  /// per packet at ingest and reuses it for shard_of_hash() and the index.
+  TouchResult touch(std::size_t shard, const net::FlowKey& key,
+                    std::size_t hash, std::uint64_t ts_usec,
+                    const float* features, bool admit_new);
   TouchResult touch(std::size_t shard, const net::FlowKey& key,
                     std::uint64_t ts_usec, const float* features,
-                    bool admit_new);
+                    bool admit_new) {
+    return touch(shard, key, net::FlowKeyHash{}(key), ts_usec, features,
+                 admit_new);
+  }
 
   /// Marks a resident flow as classified (it stays resident and keeps
   /// absorbing packets, but will not be re-scored at eviction).
@@ -157,6 +169,7 @@ class ShardedFlowTable {
  private:
   struct Slot {
     net::FlowKey key;
+    std::size_t hash = 0;  // FlowKeyHash{}(key), so release never rehashes
     std::uint64_t first_ts_usec = 0;
     std::uint64_t last_ts_usec = 0;
     std::uint32_t packets = 0;
@@ -167,9 +180,22 @@ class ShardedFlowTable {
     bool classified = false;
   };
 
+  /// Index key carrying its precomputed FlowKeyHash, so a lookup never
+  /// hashes the 37 key bytes again.
+  struct IndexKey {
+    net::FlowKey key;
+    std::size_t hash = 0;
+    bool operator==(const IndexKey& o) const {
+      return hash == o.hash && key == o.key;
+    }
+  };
+  struct IndexHash {
+    std::size_t operator()(const IndexKey& k) const noexcept { return k.hash; }
+  };
+
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<net::FlowKey, std::uint32_t, net::FlowKeyHash> index;
+    std::unordered_map<IndexKey, std::uint32_t, IndexHash> index;
     std::vector<Slot> slots;         // grows to per_shard_cap_, never beyond
     std::vector<float> features;     // per_shard_cap_ x feature_dim slab
     std::vector<std::uint32_t> free; // recycled slot indices
@@ -182,6 +208,10 @@ class ShardedFlowTable {
   void lru_push_head(Shard& s, std::uint32_t i);
   FlowView view_locked(const Shard& s, std::uint32_t i) const;
   void release_locked(Shard& s, std::uint32_t i);
+  /// Takes a free (or new) slot, links it at the LRU head and indexes it
+  /// under `key` (caller holds the shard lock and checked capacity).
+  std::uint32_t insert_locked(Shard& s, const net::FlowKey& key,
+                              std::size_t hash);
   /// Evicts slot i through `fn` (caller holds the shard lock).
   void evict_locked(Shard& s, std::uint32_t i, const EvictFn& fn);
 

@@ -241,16 +241,20 @@ SnapshotOutcome ServeEngine::save_snapshot(const std::string& path,
     }
     append_section(body, kSecCounters, sec);
 
-    // 6. Queue staged under queue_mu_ (written after engine + latency).
+    // 6. Queued records staged under queue_mu_ (written after engine +
+    // latency). The hash is not stored: restore recomputes it from the key.
     std::string queue_sec;
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
       peak_queue = peak_queue_depth_;
       put_u64(queue_sec, queue_.size());
-      for (const QueueEntry& e : queue_) {
-        put_u64(queue_sec, e.pkt.ts_usec);
-        put_u64(queue_sec, e.pkt.data.size());
-        put_bytes(queue_sec, e.pkt.data.data(), e.pkt.data.size());
+      for (std::size_t i = 0; i < queue_.size(); ++i) {
+        const PacketRecord& rec = queue_.record(i);
+        put_u64(queue_sec, rec.ts_usec);
+        put_u8(queue_sec, static_cast<std::uint8_t>(rec.kind));
+        put_key(queue_sec, rec.key);
+        const float* f = queue_.features(i);
+        for (std::size_t d = 0; d < feature_dim_; ++d) put_f32(queue_sec, f[d]);
       }
     }
 
@@ -311,7 +315,6 @@ struct StagedSnapshot {
   std::uint64_t peak_queue_depth = 0;
   std::uint64_t peak_flows = 0;
   std::uint64_t stream_pos = 0;
-  std::vector<net::Packet> queue;
   std::vector<Verdict> verdicts;
 };
 
@@ -323,6 +326,7 @@ SnapshotOutcome ServeEngine::restore_snapshot(const std::string& path,
   core::Io& fs = io ? *io : core::real_io();
 
   StagedSnapshot staged;
+  RecordQueue staged_queue(feature_dim_, cfg_.queue_capacity + cfg_.batch_size);
   SnapshotOutcome outcome;
   // Parse phase — no engine state is touched until the whole file checks
   // out, so any failure below leaves this engine exactly as constructed.
@@ -525,21 +529,34 @@ SnapshotOutcome ServeEngine::restore_snapshot(const std::string& path,
           break;
         }
         case kSecQueue: {
+          if (!seen[kSecConfig]) {
+            bad("queue before config");
+            return;
+          }
           std::uint64_t count = 0;
           if (!sr.get_u64(count) || count > cfg_.queue_capacity + cfg_.batch_size) {
             bad("queue depth out of range");
             return;
           }
-          staged.queue.resize(count);
+          PacketRecord rec;
+          rec.enq_ns = now_ns();
+          std::vector<float> features(feature_dim_);
           for (std::uint64_t i = 0; i < count; ++i) {
-            std::uint64_t bytes = 0;
-            if (!sr.get_u64(staged.queue[i].ts_usec) || !sr.get_u64(bytes) ||
-                bytes > sr.remaining()) {
-              bad("queued packet truncated");
+            std::uint8_t kind = 0;
+            bool whole = sr.get_u64(rec.ts_usec) && sr.get_u8(kind) &&
+                         sr.get_key(rec.key);
+            for (float& f : features) whole = whole && sr.get_f32(f);
+            if (!whole) {
+              bad("queued record truncated");
               return;
             }
-            staged.queue[i].data.resize(bytes);
-            sr.get_bytes(staged.queue[i].data.data(), bytes);
+            if (kind > static_cast<std::uint8_t>(RecordKind::kMalformed)) {
+              bad("queued record kind out of range");
+              return;
+            }
+            rec.kind = static_cast<RecordKind>(kind);
+            rec.hash = rec.kind == RecordKind::kOk ? net::FlowKeyHash{}(rec.key) : 0;
+            staged_queue.push_back(rec, features.data());
           }
           break;
         }
@@ -608,10 +625,7 @@ SnapshotOutcome ServeEngine::restore_snapshot(const std::string& path,
     }
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
-      queue_.clear();
-      const std::uint64_t ns = now_ns();
-      for (net::Packet& pkt : staged.queue)
-        queue_.push_back(QueueEntry{std::move(pkt), ns});
+      queue_ = std::move(staged_queue);
       peak_queue_depth_ = staged.peak_queue_depth;
     }
     {

@@ -1,7 +1,7 @@
 // Crash-tolerant serving: the snapshot format and error taxonomy for
 // ServeEngine::save_snapshot / restore_snapshot.
 //
-// Format (version 1, little-endian throughout):
+// Format (version 2, little-endian throughout):
 //
 //   magic "SUGS" | u32 version | section*
 //   section := u32 id | u64 payload_len | payload bytes | u32 crc32(payload)
@@ -9,9 +9,15 @@
 // Sections (all required, each appearing exactly once): config fingerprint,
 // per-shard flow records in LRU tail→head order, monotone counters, engine
 // scalars (virtual stream time, shed stage, offer-side atomics, peaks,
-// stream position), latency-histogram buckets, queued packets, and the
+// stream position), latency-histogram buckets, queued records, and the
 // un-taken verdict buffer. Floats are serialized as raw IEEE-754 bits, so a
 // restored feature accumulator is bit-identical to the saved one.
+//
+// Section 6 holds the ingest queue as the prepared records offer() built,
+// not frames: u64 count, then per record u64 ts_usec | u8 kind (0 ok,
+// 1 keyless, 2 malformed; anything else is bad-section) | flow key |
+// feature_dim f32. Version 1 stored raw frames there and is rejected as
+// bad-version.
 //
 // The CRC is net::crc32 (IEEE 802.3) per section, so a bit flip pinpoints
 // the damaged section instead of invalidating the whole file. Restore
@@ -38,7 +44,7 @@
 namespace sugar::serve {
 
 inline constexpr char kSnapshotMagic[4] = {'S', 'U', 'G', 'S'};
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 enum class SnapshotError : std::uint8_t {
   kNone = 0,

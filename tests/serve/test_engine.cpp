@@ -98,6 +98,48 @@ TEST(ServeEngine, BackpressureIsExplicit) {
   EXPECT_EQ(stats.gauges.peak_queue_depth, 8u);
 }
 
+TEST(ServeEngine, AccountingHoldsWithNonEmptyQueue) {
+  // Between rounds every offered packet is rejected, processed, or still
+  // queued — including a burst that overfills the queue and a malformed
+  // frame that a round consumes without a flow.
+  ServeConfig cfg = small_config();
+  auto stream = sample_stream(2, 0.05);
+  ASSERT_GT(stream.size(), 200u);
+  stream[7].data.resize(10);  // truncated: malformed
+  ServeEngine engine(cfg, zero_classifier());
+  auto check = [&](const char* step) {
+    const auto s = engine.stats();
+    EXPECT_EQ(s.counters.packets_offered,
+              s.counters.packets_rejected + s.counters.packets_processed +
+                  s.gauges.queue_depth)
+        << step;
+    EXPECT_LE(s.gauges.peak_queue_depth, cfg.queue_capacity) << step;
+  };
+  std::size_t i = 0;
+  for (; i < 10; ++i) {
+    engine.offer(stream[i]);
+    check("offer");
+  }
+  engine.pump();
+  check("pump");
+  for (const std::size_t end = i + 2 * cfg.queue_capacity; i < end; ++i) {
+    engine.offer(stream[i]);  // burst: fills the queue, then rejects
+    check("burst offer");
+  }
+  EXPECT_EQ(engine.queue_depth(), cfg.queue_capacity);
+  EXPECT_GT(engine.stats().counters.packets_rejected, 0u);
+  while (engine.pump() > 0) check("drain pump");
+  for (; i < stream.size(); ++i) {
+    engine.offer(stream[i]);
+    if (i % 3 == 0) engine.pump();
+    check("interleaved");
+  }
+  engine.drain();
+  check("drain");
+  EXPECT_EQ(engine.queue_depth(), 0u);
+  EXPECT_GE(engine.stats().counters.packets_malformed, 1u);
+}
+
 TEST(ServeEngine, FirstNVerdictMatchesOfflineFeatures) {
   // The online verdict at first-N must be computed from exactly the mean
   // feature the offline batch featurizer produces for the same prefix —

@@ -16,9 +16,11 @@
 #include <vector>
 
 #include "core/chaos.h"
+#include "core/crc32.h"
 #include "core/threadpool.h"
 #include "serve/engine.h"
 #include "serve/snapshot.h"
+#include "net/serializer.h"
 #include "trafficgen/datasets.h"
 
 namespace sugar::serve {
@@ -148,6 +150,123 @@ TEST(SnapshotDeterminism, KillRestoreReplayIsBitIdenticalAtAllWidths) {
       core::real_io().remove_file(path);
     }
   }
+}
+
+/// sample_stream() with a truncated frame (malformed: shorter than an
+/// Ethernet header) and an ARP frame (keyless) spliced in near the front.
+std::vector<net::Packet> stream_with_malformed_and_keyless() {
+  auto stream = sample_stream();
+  net::Packet truncated = stream[2];
+  truncated.data.resize(10);
+  net::FrameSpec arp;
+  arp.arp = net::ArpHeader{};
+  const net::Packet arp_pkt = net::build_packet(arp, stream[5].ts_usec);
+  stream.insert(stream.begin() + 5, arp_pkt);
+  stream.insert(stream.begin() + 3, truncated);
+  return stream;
+}
+
+/// Offers the first `count` packets without pumping, so they all sit in
+/// the ingest queue as prepared records.
+void offer_prefix(ServeEngine& engine, const std::vector<net::Packet>& stream,
+                  std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) ASSERT_TRUE(engine.offer(stream[i]));
+  engine.set_stream_pos(count);
+}
+
+/// Byte offset of section `id`'s payload in a snapshot file (0 if absent).
+std::size_t section_payload(const std::string& file, std::uint32_t id,
+                            std::uint64_t* len) {
+  auto le = [&](std::size_t at, int bytes) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < bytes; ++i)
+      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(file[at + i]))
+           << (8 * i);
+    return v;
+  };
+  std::size_t pos = 8;  // magic + version
+  while (pos + 12 <= file.size()) {
+    const auto sec = static_cast<std::uint32_t>(le(pos, 4));
+    *len = le(pos + 4, 8);
+    if (sec == id) return pos + 12;
+    pos += 12 + *len + 4;
+  }
+  return 0;
+}
+
+TEST(SnapshotDeterminism, QueuedMalformedAndKeylessRecordsSurviveKillRestore) {
+  const auto stream = stream_with_malformed_and_keyless();
+  const auto clf = parity_classifier();
+  constexpr std::size_t kQueued = 96;  // > batch_size: two rounds' worth
+  for (const std::size_t width : kWidths) {
+    ScopedThreads threads(width);
+    ServeEngine baseline(small_config(), clf);
+    offer_prefix(baseline, stream, kQueued);
+    const RunResult want = finish(baseline, stream);
+    const ServeCounters base = baseline.stats().counters;
+    ASSERT_GE(base.packets_malformed, 1u);
+    ASSERT_GE(base.packets_keyless, 1u);
+
+    const std::string path = temp_path("queued_kinds");
+    {
+      ServeEngine engine(small_config(), clf);
+      offer_prefix(engine, stream, kQueued);
+      ASSERT_EQ(engine.queue_depth(), kQueued);
+      ASSERT_TRUE(engine.save_snapshot(path).ok());  // before any pump()
+    }
+    ServeEngine restored(small_config(), clf);
+    ASSERT_TRUE(restored.restore_snapshot(path).ok());
+    EXPECT_EQ(restored.queue_depth(), kQueued);
+    const RunResult got = finish(restored, stream);
+    const ServeCounters after = restored.stats().counters;
+    EXPECT_EQ(base.packets_malformed, after.packets_malformed) << "width " << width;
+    EXPECT_EQ(base.packets_keyless, after.packets_keyless) << "width " << width;
+    EXPECT_EQ(want.counters, got.counters) << "width " << width;
+    EXPECT_EQ(want.verdicts, got.verdicts) << "width " << width;
+    core::real_io().remove_file(path);
+  }
+}
+
+TEST(SnapshotCorruption, QueueRecordKindOutOfRangeIsBadSection) {
+  const auto stream = stream_with_malformed_and_keyless();
+  const auto clf = parity_classifier();
+  const std::string path = temp_path("queue_kind");
+  {
+    ServeEngine engine(small_config(), clf);
+    offer_prefix(engine, stream, 16);
+    ASSERT_TRUE(engine.save_snapshot(path).ok());
+  }
+  const std::string clean = read_file(path);
+  std::uint64_t len = 0;
+  const std::size_t payload = section_payload(clean, 6, &len);
+  ASSERT_GT(payload, 0u);
+  ASSERT_GT(len, 17u);
+
+  // First record's kind byte (after the u64 count and its u64 ts) set to 3,
+  // with the section CRC re-sealed so only the range check can catch it.
+  std::string bad = clean;
+  bad[payload + 16] = 3;
+  const std::uint32_t crc = core::crc32(
+      {reinterpret_cast<const std::uint8_t*>(bad.data()) + payload, len});
+  for (int i = 0; i < 4; ++i)
+    bad[payload + len + i] = static_cast<char>(crc >> (8 * i));
+  write_file(path, bad);
+  ServeEngine victim(small_config(), clf);
+  const SnapshotOutcome out = victim.restore_snapshot(path);
+  EXPECT_EQ(out.error, SnapshotError::kBadSection) << out.message;
+  EXPECT_EQ(victim.recovery().cold_starts, 1u);
+  const ServeStats stats = victim.stats();
+  EXPECT_EQ(stats.counters.packets_offered, 0u);
+  EXPECT_EQ(stats.gauges.queue_depth, 0u);
+  EXPECT_EQ(stats.gauges.current_flows, 0u);
+
+  // A version-1 file (raw frames in section 6) is refused outright.
+  bad = clean;
+  bad[4] = 1;
+  write_file(path, bad);
+  ServeEngine v1(small_config(), clf);
+  EXPECT_EQ(v1.restore_snapshot(path).error, SnapshotError::kBadVersion);
+  core::real_io().remove_file(path);
 }
 
 TEST(SnapshotRoundTrip, RestoredEngineMatchesSavedState) {

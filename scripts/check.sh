@@ -8,16 +8,18 @@
 #                               interference gate, schema-4 corpus, golden
 #                               artifact, TSan over concurrent span emission)
 #                               + the three-mode scripts/profile.sh harness
-#   scripts/check.sh serve      online-engine matrix: flow-table/engine/
-#                               determinism/stream-fault/snapshot-format
-#                               unit tests, the bench_serve load ladder +
+#   scripts/check.sh serve      online-engine matrix: classifier/flow-
+#                               table/engine/determinism/stream-fault/
+#                               snapshot-format unit tests, the bench_serve load ladder +
 #                               fault matrix at smoke scale, and the serve
 #                               concurrency stress under TSan
 #   scripts/check.sh trees      histogram-tree matrix: quantize/binned/
 #                               tree/forest/gbdt unit tests (incl. the
-#                               sibling-subtraction identity, fit digests
-#                               and the pinned legacy-record gate) swept at
-#                               SUGAR_THREADS=1/2/7
+#                               sibling-subtraction identity, fit digests,
+#                               the pinned legacy-record gate, the
+#                               key-cached exact-sort differential and the
+#                               compiled-forest ≡ node-walk oracle) swept
+#                               at SUGAR_THREADS=1/2/7
 #   scripts/check.sh ooc        out-of-core matrix: store/pager/paged-fit
 #                               unit tests swept at SUGAR_THREADS=1/2/7,
 #                               the pager storm under TSan, and the
@@ -106,13 +108,14 @@ trace() {
 
 serve() {
   configure_build build-check
-  # The serving tier end-to-end: table/engine/determinism unit tests, the
+  # The serving tier end-to-end: classifier/table/engine/determinism unit
+  # tests (classify ≡ RandomForest::predict, any class count), the
   # snapshot codec (its queue section holds the engine's prepared packet
   # records), the streaming fault modes, the overload bench with its
   # json_check'd artifact (latency percentiles + monotone shed/evict
   # snapshots), and the concurrency stress in its plain-build form.
   run ctest --test-dir build-check --output-on-failure -j "$JOBS" \
-      -R 'FlowTable|ServeEngine|ServeDeterminism|ServeStress|StreamFaults|Snapshot|serve_stress|bench_serve'
+      -R 'ForestFlowClassifier|FlowTable|ServeEngine|ServeDeterminism|ServeStress|StreamFaults|Snapshot|serve_stress|bench_serve'
   # Shard workers vs stats snapshotters vs the idle evictor under TSan.
   configure_build build-tsan -DSUGAR_SANITIZE=thread
   run ctest --test-dir build-tsan --output-on-failure -R serve_stress
@@ -121,13 +124,14 @@ serve() {
 trees() {
   configure_build build-check
   # The histogram-tree substrate's determinism contract: quantization,
-  # sibling subtraction, and the forest/GBDT fit digests must be identical
-  # at every pool width. The unit tests pin widths internally; the ambient
+  # sibling subtraction, the key-cached exact sort, the forest/GBDT fit
+  # digests and compiled-forest predictions must be identical at every pool
+  # width. The unit tests pin widths internally; the ambient
   # sweep on top catches any width assumption they missed.
   for threads in 1 2 7; do
     SUGAR_THREADS="$threads" run ctest --test-dir build-check \
         --output-on-failure \
-        -R 'QuantizeBin|BinnedMatrix|HistogramTree|DecisionTree|RandomForest|Gbdt|ParallelDeterminism'
+        -R 'QuantizeBin|BinnedMatrix|HistogramTree|DecisionTree|ExactSplitSort|RandomForest|Gbdt|FlatForest|ParallelDeterminism'
   done
 }
 

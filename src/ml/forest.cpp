@@ -36,7 +36,6 @@ std::vector<std::uint32_t> bootstrap(std::mt19937_64& rng, std::size_t n,
 
 void RandomForest::fit(const Matrix& x, const std::vector<int>& y, int num_classes) {
   SUGAR_TRACE_SPAN("ml.forest.fit");
-  num_classes_ = num_classes;
   trees_.assign(static_cast<std::size_t>(cfg_.num_trees), {});
   SUGAR_TRACE_COUNT("ml.trees_fit", trees_.size());
 
@@ -63,12 +62,12 @@ void RandomForest::fit(const Matrix& x, const std::vector<int>& y, int num_class
                                    &rows);
         }
       });
+  flat_ = FlatForest(trees_);
 }
 
 void RandomForest::fit_binned(const BinnedColumnSource& src,
                               const std::vector<int>& y, int num_classes) {
   SUGAR_TRACE_SPAN("ml.forest.fit_binned");
-  num_classes_ = num_classes;
   trees_.assign(static_cast<std::size_t>(cfg_.num_trees), {});
   SUGAR_TRACE_COUNT("ml.trees_fit", trees_.size());
 
@@ -92,6 +91,7 @@ void RandomForest::fit_binned(const BinnedColumnSource& src,
     std::sort(rows.begin(), rows.end());
     trees_[t].fit_classifier_binned(src, y, num_classes, tree_cfg, rng, &rows);
   }
+  flat_ = FlatForest(trees_);
 }
 
 std::vector<int> RandomForest::predict(const Matrix& x) const {
@@ -99,14 +99,7 @@ std::vector<int> RandomForest::predict(const Matrix& x) const {
   std::vector<int> out(x.rows(), 0);
   core::global_pool().parallel_for(
       0, x.rows(), 64, [&](std::size_t r0, std::size_t r1) {
-        std::vector<int> votes(static_cast<std::size_t>(num_classes_));
-        for (std::size_t i = r0; i < r1; ++i) {
-          std::fill(votes.begin(), votes.end(), 0);
-          for (const auto& tree : trees_)
-            ++votes[static_cast<std::size_t>(tree.predict_class(x.row(i)))];
-          out[i] = static_cast<int>(std::max_element(votes.begin(), votes.end()) -
-                                    votes.begin());
-        }
+        for (std::size_t i = r0; i < r1; ++i) out[i] = flat_.vote(x.row(i));
       });
   return out;
 }

@@ -1,15 +1,19 @@
 // Random Forest classifier with Gini feature importances — the shallow
 // baseline that, per the paper's Table 8 and Figure 5, beats every
 // representation-learning model on hand-crafted header features while being
-// orders of magnitude cheaper. Trees are fitted and evaluated in parallel
-// on the shared core::ThreadPool; each tree draws from its own seeded RNG
-// stream, so the forest is bit-identical at any SUGAR_THREADS value.
+// orders of magnitude cheaper. Trees are fitted in parallel on the shared
+// core::ThreadPool; each tree draws from its own seeded RNG stream, so the
+// forest is bit-identical at any SUGAR_THREADS value. Every fit ends by
+// compiling the trees into an ml::FlatForest, and every prediction — batch
+// predict(), the serve classifier, the out-of-core evaluation — is its
+// majority vote.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "ml/flat_forest.h"
 #include "ml/guard.h"
 #include "ml/tree.h"
 
@@ -59,7 +63,12 @@ class RandomForest {
   void fit_binned(const BinnedColumnSource& src, const std::vector<int>& y,
                   int num_classes);
 
+  /// Majority vote per row (rows in parallel on the pool).
   [[nodiscard]] std::vector<int> predict(const Matrix& x) const;
+  /// Majority vote for one feature row: the compiled model's vote, inline
+  /// on the calling thread with no allocation below 257 classes. A tie
+  /// goes to the lowest class.
+  [[nodiscard]] int predict_row(const float* row) const { return flat_.vote(row); }
 
   /// Normalized (sums to 1) mean split-gain importance per feature.
   [[nodiscard]] std::vector<double> feature_importance() const;
@@ -68,8 +77,8 @@ class RandomForest {
 
  private:
   ForestConfig cfg_;
-  int num_classes_ = 0;
   std::vector<DecisionTree> trees_;
+  FlatForest flat_;  // trees_, compiled at the end of each fit
 };
 
 /// Pairs feature importances with names and sorts descending (Figure 5).

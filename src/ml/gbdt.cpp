@@ -4,6 +4,7 @@
 #include <cmath>
 #include <random>
 
+#include "core/threadpool.h"
 #include "ml/binned.h"
 
 namespace sugar::ml {
@@ -66,6 +67,7 @@ void GradientBoosting::boost(std::size_t n, const std::vector<int>& y,
       }
     }
   }
+  flat_ = FlatForest(trees_);
 }
 
 void GradientBoosting::fit(const Matrix& x, const std::vector<int>& y,
@@ -98,11 +100,17 @@ void GradientBoosting::fit_binned(const BinnedColumnSource& src,
 
 Matrix GradientBoosting::decision_function(const Matrix& x) const {
   Matrix scores(x.rows(), static_cast<std::size_t>(std::max(num_outputs_, 1)));
-  for (std::size_t t = 0; t < trees_.size(); ++t) {
-    std::size_t k = t % static_cast<std::size_t>(num_outputs_);
-    for (std::size_t i = 0; i < x.rows(); ++i)
-      scores(i, k) += cfg_.learning_rate * trees_[t].predict_value(x.row(i));
-  }
+  const std::size_t outputs = scores.cols();
+  core::global_pool().parallel_for(
+      0, x.rows(), 64, [&](std::size_t r0, std::size_t r1) {
+        std::vector<float> leaf(flat_.num_trees());
+        for (std::size_t i = r0; i < r1; ++i) {
+          flat_.leaf_values(x.row(i), leaf.data());
+          float* s = scores.row(i);
+          for (std::size_t t = 0; t < leaf.size(); ++t)
+            s[t % outputs] += cfg_.learning_rate * leaf[t];
+        }
+      });
   return scores;
 }
 

@@ -1,12 +1,15 @@
 // Gradient-boosted decision trees with second-order (Newton) boosting and
 // softmax multi-class output. Two presets mirror the paper's Table 8
 // baselines: XGBoost-style depth-wise trees and LightGBM-style leaf-wise
-// trees. Binary tasks use a single logistic tree per round.
+// trees. Binary tasks use a single logistic tree per round. Fitting ends by
+// compiling the trees into an ml::FlatForest; decision_function() walks
+// that, adding each tree's leaf value in tree order.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "ml/flat_forest.h"
 #include "ml/guard.h"
 #include "ml/tree.h"
 
@@ -67,11 +70,15 @@ class GradientBoosting {
   void fit_binned(const BinnedColumnSource& src, const std::vector<int>& y,
                   int num_classes);
   [[nodiscard]] std::vector<int> predict(const Matrix& x) const;
-  /// Raw margin scores [n×classes].
+  /// Raw margin scores [n×classes] (rows in parallel on the pool). Each
+  /// score adds learning_rate × leaf value tree by tree in fit order, so it
+  /// is bit-identical to summing the trees' predict_value one at a time.
   [[nodiscard]] Matrix decision_function(const Matrix& x) const;
 
   [[nodiscard]] std::vector<double> feature_importance() const;
   [[nodiscard]] int rounds_used() const { return rounds_used_; }
+  /// trees()[round * outputs + k] adds to margin column k.
+  [[nodiscard]] const std::vector<DecisionTree>& trees() const { return trees_; }
 
  private:
   /// The boosting loop shared by fit() and fit_binned(). Per round and
@@ -87,6 +94,7 @@ class GradientBoosting {
   int rounds_used_ = 0;
   /// trees_[round * num_outputs + k]
   std::vector<DecisionTree> trees_;
+  FlatForest flat_;      // trees_, compiled at the end of boost()
   int num_outputs_ = 0;  // 1 for binary, K for multi-class
 };
 

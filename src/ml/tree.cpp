@@ -9,6 +9,7 @@
 #include "core/simd.h"
 #include "core/threadpool.h"
 #include "ml/binned.h"
+#include "ml/exact_sort.h"
 
 namespace sugar::ml {
 namespace {
@@ -26,6 +27,39 @@ double gini_from_counts(const std::vector<double>& counts, double total) {
 using F64Buffer = std::vector<double, AlignedAllocator<double>>;
 
 }  // namespace
+
+namespace detail {
+
+void ExactSortScratch::load(const std::uint32_t* begin, const std::uint32_t* end) {
+  keyed_.resize(static_cast<std::size_t>(end - begin));
+  for (std::size_t i = 0; i < keyed_.size(); ++i) keyed_[i].row = begin[i];
+}
+
+bool ExactSortScratch::sort_by(const Matrix& x, std::size_t f) {
+  const std::size_t n = keyed_.size();
+  bool all_tie = true;
+  for (auto& e : keyed_) {
+    e.key = x(e.row, f);
+    all_tie = all_tie && e.key == keyed_[0].key;
+  }
+  if (!all_tie) {
+    std::sort(keyed_.begin(), keyed_.end(),
+              [](const Keyed& a, const Keyed& b) { return a.key < b.key; });
+    return true;
+  }
+  if (tie_perm_.size() != n) {
+    tie_perm_.resize(n);
+    std::iota(tie_perm_.begin(), tie_perm_.end(), 0u);
+    std::sort(tie_perm_.begin(), tie_perm_.end(),
+              [](std::uint32_t, std::uint32_t) { return false; });
+  }
+  moved_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) moved_[i] = keyed_[tie_perm_[i]];
+  keyed_.swap(moved_);
+  return false;
+}
+
+}  // namespace detail
 
 struct DecisionTree::BuildContext {
   /// Raw floats for the exact small-node sweep and the threshold partition;
@@ -123,6 +157,7 @@ void DecisionTree::build(BuildContext ctx,
   F64Buffer sampled_hist;  // no subtraction: this split's sampled features
   std::vector<double> left_counts;
   std::vector<std::uint32_t> part_scratch;  // stable code-partition right side
+  detail::ExactSortScratch exact;           // small-node sorted sweep
 
   // Accumulates [begin, end) of ctx.rows into per-feature histogram slots.
   // One feature per pool block (grain 1): each slot is written by exactly
@@ -212,23 +247,22 @@ void DecisionTree::build(BuildContext ctx,
     // Exact split search for small nodes: sort samples per feature and
     // sweep all boundaries between distinct values. Needs the raw floats,
     // so out-of-core fits (no ctx.x; exact_split_max forced to 0) never
-    // take it.
+    // take it. Each feature's sort starts from the previous feature's
+    // order, so tie order carries from feature to feature.
     if (ctx.x && n <= cfg.exact_split_max) {
-      std::vector<std::uint32_t> sorted(ctx.rows.begin() + static_cast<std::ptrdiff_t>(begin),
-                                        ctx.rows.begin() + static_cast<std::ptrdiff_t>(end));
+      exact.load(ctx.rows.data() + begin, ctx.rows.data() + end);
+      const auto& sorted = exact.keyed();
       for (std::size_t f : feats) {
-        std::sort(sorted.begin(), sorted.end(), [&](std::uint32_t a, std::uint32_t b) {
-          return (*ctx.x)(a, f) < (*ctx.x)(b, f);
-        });
+        if (!exact.sort_by(*ctx.x, f)) continue;  // all tie: no boundary
         if (ctx.regression()) {
           double gl = 0, hl = 0;
           double parent_score = total_g * total_g / (total_h + cfg.lambda);
           for (std::size_t i = 0; i + 1 < n; ++i) {
-            std::uint32_t r = sorted[i];
+            std::uint32_t r = sorted[i].row;
             gl += (*ctx.grad)[r];
             hl += (*ctx.hess)[r];
-            float v = (*ctx.x)(r, f);
-            float vn = (*ctx.x)(sorted[i + 1], f);
+            float v = sorted[i].key;
+            float vn = sorted[i + 1].key;
             if (v == vn) continue;  // not a boundary
             std::size_t nl = i + 1;
             if (nl < cfg.min_samples_leaf || n - nl < cfg.min_samples_leaf) continue;
@@ -246,7 +280,7 @@ void DecisionTree::build(BuildContext ctx,
           double sum_sq_l = 0;
           double sum_sq_r = parent_sum_sq;
           for (std::size_t i = 0; i + 1 < n; ++i) {
-            std::uint32_t r = sorted[i];
+            std::uint32_t r = sorted[i].row;
             auto y = static_cast<std::size_t>((*ctx.y)[r]);
             // Incremental sum-of-squares update when one sample of class y
             // moves from the right partition to the left.
@@ -254,8 +288,8 @@ void DecisionTree::build(BuildContext ctx,
             sum_sq_r += -2.0 * rc + 1.0;
             sum_sq_l += 2.0 * left[y] + 1.0;
             left[y] += 1.0;
-            float v = (*ctx.x)(r, f);
-            float vn = (*ctx.x)(sorted[i + 1], f);
+            float v = sorted[i].key;
+            float vn = sorted[i + 1].key;
             if (v == vn) continue;
             double nl = static_cast<double>(i + 1);
             double nr = static_cast<double>(n) - nl;

@@ -8,8 +8,13 @@
 // are accumulated feature-parallel on the thread pool, and siblings reuse
 // the parent's histogram via subtraction. Resident fits also take the raw
 // Matrix: nodes at or below `exact_split_max` rows use the exact
-// sorted-sweep search on raw floats. predict() walks raw-float thresholds
-// (histogram splits record the cut value), so serving never needs codes.
+// sorted-sweep search on raw floats. Nodes store raw-float thresholds
+// (histogram splits record the cut value), so prediction never needs codes.
+//
+// The Node array here is the fit-time representation. Ensembles predict
+// through ml::FlatForest (flat_forest.h), which compiles fitted trees into
+// one contiguous node array and walks them in lockstep; predict_class /
+// predict_value below are the single-tree node walk it must match.
 #pragma once
 
 #include <cstdint>
@@ -104,6 +109,8 @@ class DecisionTree {
   [[nodiscard]] int depth() const;
 
  private:
+  friend class FlatForest;  // compiles nodes_ into its flat layout
+
   struct Node {
     int feature = -1;  // -1 => leaf
     float threshold = 0;

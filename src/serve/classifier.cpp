@@ -1,7 +1,5 @@
 #include "serve/classifier.h"
 
-#include <algorithm>
-
 namespace sugar::serve {
 
 ForestFlowClassifier::ForestFlowClassifier(ml::RandomForest forest,
@@ -10,16 +8,9 @@ ForestFlowClassifier::ForestFlowClassifier(ml::RandomForest forest,
     : forest_(std::move(forest)), dim_(feature_dim), classes_(num_classes) {}
 
 int ForestFlowClassifier::classify(const float* features) const {
-  // Same majority vote as RandomForest::predict, but single-row and inline:
-  // shard workers call this from inside the engine's parallel_for, where a
-  // nested pool dispatch would serialize anyway.
-  int votes[256] = {};
-  const int classes = std::min(classes_, 256);
-  for (const auto& tree : forest_.trees()) {
-    const int c = tree.predict_class(features);
-    if (c >= 0 && c < classes) ++votes[c];
-  }
-  return static_cast<int>(std::max_element(votes, votes + classes) - votes);
+  // Shard workers call this from inside the engine's parallel_for, so the
+  // vote runs inline on the compiled forest — no nested pool dispatch.
+  return forest_.predict_row(features);
 }
 
 std::unique_ptr<ForestFlowClassifier> fit_forest_classifier(

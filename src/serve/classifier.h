@@ -24,9 +24,11 @@ class FlowClassifier {
   [[nodiscard]] virtual int classify(const float* features) const = 0;
 };
 
-/// Frozen RandomForest. classify() votes the trees directly on the caller's
-/// buffer — no allocation, no thread-pool dispatch — so shard workers can
-/// call it from inside the engine's parallel round without nesting.
+/// Frozen RandomForest. classify() is RandomForest::predict_row: the
+/// compiled forest's (ml::FlatForest) majority vote on the caller's buffer —
+/// same label as RandomForest::predict for that row, any class count, no
+/// allocation below 257 classes, no thread-pool dispatch — so shard workers
+/// can call it from inside the engine's parallel round without nesting.
 class ForestFlowClassifier final : public FlowClassifier {
  public:
   ForestFlowClassifier(ml::RandomForest forest, std::size_t feature_dim,

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "ml/binned.h"
+#include "ml/exact_sort.h"
 #include "ml/forest.h"
 #include "ml/gbdt.h"
 #include "ml/metrics.h"
@@ -137,6 +139,49 @@ TEST(DecisionTree, ExactAndHistogramSplitsAgreeOnEasyData) {
   for (std::size_t i = 0; i < x.rows(); ++i)
     if (exact.predict_class(x.row(i)) == histo.predict_class(x.row(i))) ++agree;
   EXPECT_GT(agree, x.rows() * 95 / 100);
+}
+
+TEST(ExactSplitSort, KeyCachedSortMatchesRowComparatorSort) {
+  // Tie-heavy random nodes: n = 1..1100 rows (repeats allowed, as in a
+  // bootstrap bag), 1-64 distinct values per feature, one all-equal
+  // feature. Each feature's order must equal std::sort with the row
+  // comparator, applied to the previous feature's order.
+  std::mt19937_64 rng(71);
+  constexpr std::size_t kRows = 1200, kFeatures = 5;
+  detail::ExactSortScratch scratch;
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 40; ++n) sizes.push_back(n);
+  std::uniform_int_distribution<std::size_t> size_dist(41, 1100);
+  for (int i = 0; i < 60; ++i) sizes.push_back(size_dist(rng));
+  sizes.push_back(1100);
+  for (const std::size_t n : sizes) {
+    Matrix x(kRows, kFeatures);
+    for (std::size_t f = 0; f < kFeatures; ++f) {
+      const int distinct = f == 2 ? 1 : std::uniform_int_distribution<int>(1, 64)(rng);
+      std::uniform_int_distribution<int> value(0, distinct - 1);
+      for (std::size_t r = 0; r < kRows; ++r)
+        x(r, f) = 0.25f * static_cast<float>(value(rng));
+    }
+    std::uniform_int_distribution<std::uint32_t> pick(0, kRows - 1);
+    std::vector<std::uint32_t> rows(n);
+    for (auto& r : rows) r = pick(rng);
+
+    scratch.load(rows.data(), rows.data() + n);
+    for (const std::size_t f : {0, 1, 2, 3, 4, 2, 0}) {
+      std::sort(rows.begin(), rows.end(), [&](std::uint32_t a, std::uint32_t b) {
+        return x(a, f) < x(b, f);
+      });
+      bool all_tie = true;
+      for (const auto r : rows) all_tie = all_tie && x(r, f) == x(rows[0], f);
+      EXPECT_EQ(scratch.sort_by(x, f), !all_tie) << "n " << n << " feature " << f;
+      const auto& keyed = scratch.keyed();
+      ASSERT_EQ(keyed.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(keyed[i].row, rows[i]) << "n " << n << " feature " << f << " pos " << i;
+        ASSERT_EQ(keyed[i].key, x(rows[i], f));
+      }
+    }
+  }
 }
 
 TEST(RandomForest, BeatsSingleTreeOnNoisyData) {

@@ -12,12 +12,14 @@
 #                               table/engine/determinism/stream-fault/
 #                               snapshot-format unit tests, the bench_serve load ladder +
 #                               fault matrix at smoke scale, and the serve
-#                               concurrency stress under TSan
+#                               concurrency stress (forest classifier on the
+#                               shard workers included) under TSan
 #   scripts/check.sh trees      histogram-tree matrix: quantize/binned/
 #                               tree/forest/gbdt unit tests (incl. the
 #                               sibling-subtraction identity, fit digests,
 #                               the pinned legacy-record gate, the
-#                               key-cached exact-sort differential and the
+#                               key-cached exact-sort differential, the
+#                               training-row leaf values ≡ node walk and the
 #                               compiled-forest ≡ node-walk oracle) swept
 #                               at SUGAR_THREADS=1/2/7
 #   scripts/check.sh ooc        out-of-core matrix: store/pager/paged-fit
@@ -116,7 +118,8 @@ serve() {
   # snapshots), and the concurrency stress in its plain-build form.
   run ctest --test-dir build-check --output-on-failure -j "$JOBS" \
       -R 'ForestFlowClassifier|FlowTable|ServeEngine|ServeDeterminism|ServeStress|StreamFaults|Snapshot|serve_stress|bench_serve'
-  # Shard workers vs stats snapshotters vs the idle evictor under TSan.
+  # Shard workers vs stats snapshotters vs the idle evictor under TSan,
+  # plus a fitted forest's compiled model read from every shard worker.
   configure_build build-tsan -DSUGAR_SANITIZE=thread
   run ctest --test-dir build-tsan --output-on-failure -R serve_stress
 }

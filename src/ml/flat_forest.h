@@ -1,8 +1,9 @@
 // Compiled tree ensemble: the one prediction path for RandomForest, the
-// GBDT margin scores and the serve engine's ForestFlowClassifier. Fitted
+// GBDT margin scores and the serve engine's ForestFlowClassifier, and the
+// only shape in which a fitted ensemble keeps its trees. Fitted
 // DecisionTrees are copied once into a single contiguous array of 16-byte
-// nodes; the model is immutable afterwards, so any number of threads may
-// predict from it concurrently.
+// nodes and then dropped; the model is immutable afterwards, so any number
+// of threads may predict from it concurrently.
 //
 // Layout: node = {float threshold; u32 feature; u32 child[2]}. Each tree is
 // a root offset into the shared array. A leaf points both children at
@@ -12,8 +13,9 @@
 //
 // Walk: trees go in fixed blocks of kBlock. Each step moves every tree of
 // the block one level with `idx = child[!(row[f] < threshold)]` — the same
-// comparison DecisionTree::leaf_index makes, so every tree lands on the
-// same leaf and predictions are bit-identical to the node walk. The block
+// comparison as DecisionTree::predict_class / predict_value, the reference
+// walk, so every tree lands on the same leaf and predictions are
+// bit-identical to it. The block
 // stops after its deepest tree's depth; the independent per-tree load
 // chains overlap instead of running one after another. A block whose trees
 // are all single leaves takes no step and never reads the row.

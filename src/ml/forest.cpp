@@ -22,12 +22,11 @@ std::uint64_t tree_seed(std::uint64_t seed, std::uint64_t tree) {
   return z ^ (z >> 31);
 }
 
-/// A bootstrap bag of `bag` row indices drawn uniformly from [0, n); `rng`
-/// then continues into the tree fit itself.
-std::vector<std::uint32_t> bootstrap(std::mt19937_64& rng, std::size_t n,
-                                     std::size_t bag) {
+/// A bootstrap bag of n row indices drawn uniformly from [0, n); `rng` then
+/// continues into the tree fit itself.
+std::vector<std::uint32_t> bootstrap(std::mt19937_64& rng, std::size_t n) {
   std::uniform_int_distribution<std::size_t> pick(0, n == 0 ? 0 : n - 1);
-  std::vector<std::uint32_t> rows(bag);
+  std::vector<std::uint32_t> rows(n);
   for (auto& r : rows) r = static_cast<std::uint32_t>(pick(rng));
   return rows;
 }
@@ -36,16 +35,15 @@ std::vector<std::uint32_t> bootstrap(std::mt19937_64& rng, std::size_t n,
 
 void RandomForest::fit(const Matrix& x, const std::vector<int>& y, int num_classes) {
   SUGAR_TRACE_SPAN("ml.forest.fit");
-  trees_.assign(static_cast<std::size_t>(cfg_.num_trees), {});
-  SUGAR_TRACE_COUNT("ml.trees_fit", trees_.size());
+  std::vector<DecisionTree> trees(static_cast<std::size_t>(cfg_.num_trees));
+  SUGAR_TRACE_COUNT("ml.trees_fit", trees.size());
 
   TreeConfig tree_cfg = cfg_.tree;
   if (tree_cfg.features_per_split == 0)
     tree_cfg.features_per_split =
         std::max(1, static_cast<int>(std::sqrt(static_cast<double>(x.cols()))));
 
-  std::size_t n = x.rows();
-  std::size_t bag = static_cast<std::size_t>(cfg_.bag_fraction * static_cast<double>(n));
+  const std::size_t n = x.rows();
 
   // Quantize once per fit: every tree shares the same bin codes and cut
   // points. Built before the per-tree loop so quantization itself
@@ -53,23 +51,24 @@ void RandomForest::fit(const Matrix& x, const std::vector<int>& y, int num_class
   const BinnedMatrix binned(x, tree_cfg.histogram_bins);
 
   core::global_pool().parallel_for(
-      0, trees_.size(), 1, [&](std::size_t t0, std::size_t t1) {
+      0, trees.size(), 1, [&](std::size_t t0, std::size_t t1) {
         for (std::size_t t = t0; t < t1; ++t) {
           throw_if_cancelled(cfg_.cancel, "RandomForest::fit");
           std::mt19937_64 rng(tree_seed(cfg_.seed, t));
-          const auto rows = bootstrap(rng, n, bag);
-          trees_[t].fit_classifier(x, binned, y, num_classes, tree_cfg, rng,
-                                   &rows);
+          const auto rows = bootstrap(rng, n);
+          trees[t].fit_classifier(x, binned, y, num_classes, tree_cfg, rng,
+                                  &rows);
         }
       });
-  flat_ = FlatForest(trees_);
+  flat_ = FlatForest(trees);
+  importance_ = normalized_importance(trees);
 }
 
 void RandomForest::fit_binned(const BinnedColumnSource& src,
                               const std::vector<int>& y, int num_classes) {
   SUGAR_TRACE_SPAN("ml.forest.fit_binned");
-  trees_.assign(static_cast<std::size_t>(cfg_.num_trees), {});
-  SUGAR_TRACE_COUNT("ml.trees_fit", trees_.size());
+  std::vector<DecisionTree> trees(static_cast<std::size_t>(cfg_.num_trees));
+  SUGAR_TRACE_COUNT("ml.trees_fit", trees.size());
 
   TreeConfig tree_cfg = cfg_.tree;
   if (tree_cfg.features_per_split == 0)
@@ -77,21 +76,20 @@ void RandomForest::fit_binned(const BinnedColumnSource& src,
         1, static_cast<int>(std::sqrt(static_cast<double>(src.cols()))));
 
   const std::size_t n = src.rows();
-  const std::size_t bag =
-      static_cast<std::size_t>(cfg_.bag_fraction * static_cast<double>(n));
 
   // Serial over trees: the pool parallelizes INSIDE each tree (feature-wise
   // histogram accumulation), so the page cache only ever holds one tree's
   // working set. Bags draw the exact fit() sequence, then sort — the
   // bootstrap multiset is unchanged, paged access becomes monotone.
-  for (std::size_t t = 0; t < trees_.size(); ++t) {
+  for (std::size_t t = 0; t < trees.size(); ++t) {
     throw_if_cancelled(cfg_.cancel, "RandomForest::fit_binned");
     std::mt19937_64 rng(tree_seed(cfg_.seed, t));
-    auto rows = bootstrap(rng, n, bag);
+    auto rows = bootstrap(rng, n);
     std::sort(rows.begin(), rows.end());
-    trees_[t].fit_classifier_binned(src, y, num_classes, tree_cfg, rng, &rows);
+    trees[t].fit_classifier_binned(src, y, num_classes, tree_cfg, rng, &rows);
   }
-  flat_ = FlatForest(trees_);
+  flat_ = FlatForest(trees);
+  importance_ = normalized_importance(trees);
 }
 
 std::vector<int> RandomForest::predict(const Matrix& x) const {
@@ -102,20 +100,6 @@ std::vector<int> RandomForest::predict(const Matrix& x) const {
         for (std::size_t i = r0; i < r1; ++i) out[i] = flat_.vote(x.row(i));
       });
   return out;
-}
-
-std::vector<double> RandomForest::feature_importance() const {
-  if (trees_.empty()) return {};
-  std::vector<double> total(trees_.front().feature_importance().size(), 0.0);
-  for (const auto& tree : trees_) {
-    const auto& imp = tree.feature_importance();
-    for (std::size_t i = 0; i < imp.size(); ++i) total[i] += imp[i];
-  }
-  double sum = 0;
-  for (double v : total) sum += v;
-  if (sum > 0)
-    for (double& v : total) v /= sum;
-  return total;
 }
 
 std::vector<std::pair<std::string, double>> ranked_importance(

@@ -4,9 +4,10 @@
 // orders of magnitude cheaper. Trees are fitted in parallel on the shared
 // core::ThreadPool; each tree draws from its own seeded RNG stream, so the
 // forest is bit-identical at any SUGAR_THREADS value. Every fit ends by
-// compiling the trees into an ml::FlatForest, and every prediction — batch
-// predict(), the serve classifier, the out-of-core evaluation — is its
-// majority vote.
+// compiling the trees into an ml::FlatForest and summing their importances;
+// the fitted DecisionTrees are then dropped. Every prediction — batch
+// predict(), the serve classifier, the out-of-core evaluation — is the
+// compiled forest's majority vote.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +23,6 @@ namespace sugar::ml {
 struct ForestConfig {
   int num_trees = 40;
   TreeConfig tree;
-  /// Bootstrap sample fraction per tree.
-  double bag_fraction = 1.0;
   std::uint64_t seed = 17;
   /// Polled once per tree (on whichever pool thread fits it); fit()
   /// rethrows the resulting CancelledError on the calling thread.
@@ -71,14 +70,14 @@ class RandomForest {
   [[nodiscard]] int predict_row(const float* row) const { return flat_.vote(row); }
 
   /// Normalized (sums to 1) mean split-gain importance per feature.
-  [[nodiscard]] std::vector<double> feature_importance() const;
-
-  [[nodiscard]] const std::vector<DecisionTree>& trees() const { return trees_; }
+  [[nodiscard]] const std::vector<double>& feature_importance() const {
+    return importance_;
+  }
 
  private:
   ForestConfig cfg_;
-  std::vector<DecisionTree> trees_;
-  FlatForest flat_;  // trees_, compiled at the end of each fit
+  FlatForest flat_;
+  std::vector<double> importance_;
 };
 
 /// Pairs feature importances with names and sorts descending (Figure 5).

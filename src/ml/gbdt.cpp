@@ -30,17 +30,17 @@ void GradientBoosting::boost(std::size_t n, const std::vector<int>& y,
   Matrix margins(n, static_cast<std::size_t>(num_outputs_));
   Matrix probs;  // softmax scratch, reused every round
   std::vector<float> grad(n), hess(n), values;
-  trees_.clear();
-  trees_.reserve(static_cast<std::size_t>(rounds * num_outputs_));
+  std::vector<DecisionTree> trees;
+  trees.reserve(static_cast<std::size_t>(rounds * num_outputs_));
 
-  // Fits one tree on the current (grad, hess) and adds its per-row outputs
-  // to margin column k.
+  // Fits one tree on the current (grad, hess) and adds its training rows'
+  // leaf values to margin column k.
   auto add_tree = [&](std::size_t k) {
     DecisionTree tree;
     fit_round(tree, grad, hess, tree_cfg, rng, values);
     for (std::size_t i = 0; i < n; ++i)
       margins(i, k) += cfg_.learning_rate * values[i];
-    trees_.push_back(std::move(tree));
+    trees.push_back(std::move(tree));
   };
 
   for (int r = 0; r < rounds; ++r) {
@@ -67,7 +67,8 @@ void GradientBoosting::boost(std::size_t n, const std::vector<int>& y,
       }
     }
   }
-  flat_ = FlatForest(trees_);
+  flat_ = FlatForest(trees);
+  importance_ = normalized_importance(trees);
 }
 
 void GradientBoosting::fit(const Matrix& x, const std::vector<int>& y,
@@ -80,10 +81,7 @@ void GradientBoosting::fit(const Matrix& x, const std::vector<int>& y,
         [&](DecisionTree& tree, const std::vector<float>& grad,
             const std::vector<float>& hess, const TreeConfig& tree_cfg,
             std::mt19937_64& rng, std::vector<float>& values) {
-          tree.fit_regression(x, binned, grad, hess, tree_cfg, rng);
-          values.resize(x.rows());
-          for (std::size_t i = 0; i < x.rows(); ++i)
-            values[i] = tree.predict_value(x.row(i));
+          tree.fit_regression(x, binned, grad, hess, tree_cfg, rng, values);
         });
 }
 
@@ -93,8 +91,7 @@ void GradientBoosting::fit_binned(const BinnedColumnSource& src,
         [&](DecisionTree& tree, const std::vector<float>& grad,
             const std::vector<float>& hess, const TreeConfig& tree_cfg,
             std::mt19937_64& rng, std::vector<float>& values) {
-          tree.fit_regression_binned(src, grad, hess, tree_cfg, rng);
-          tree.predict_value_binned(src, values);
+          tree.fit_regression_binned(src, grad, hess, tree_cfg, rng, values);
         });
 }
 
@@ -126,20 +123,6 @@ std::vector<int> GradientBoosting::predict(const Matrix& x) const {
     }
   }
   return out;
-}
-
-std::vector<double> GradientBoosting::feature_importance() const {
-  if (trees_.empty()) return {};
-  std::vector<double> total(trees_.front().feature_importance().size(), 0.0);
-  for (const auto& tree : trees_) {
-    const auto& imp = tree.feature_importance();
-    for (std::size_t i = 0; i < imp.size(); ++i) total[i] += imp[i];
-  }
-  double sum = 0;
-  for (double v : total) sum += v;
-  if (sum > 0)
-    for (double& v : total) v /= sum;
-  return total;
 }
 
 }  // namespace sugar::ml

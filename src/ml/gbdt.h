@@ -1,9 +1,12 @@
 // Gradient-boosted decision trees with second-order (Newton) boosting and
 // softmax multi-class output. Two presets mirror the paper's Table 8
 // baselines: XGBoost-style depth-wise trees and LightGBM-style leaf-wise
-// trees. Binary tasks use a single logistic tree per round. Fitting ends by
-// compiling the trees into an ml::FlatForest; decision_function() walks
-// that, adding each tree's leaf value in tree order.
+// trees. Binary tasks use a single logistic tree per round. Each round's
+// tree fit hands back every training row's leaf value for the margin
+// update, so the fit never walks a tree. Fitting ends by compiling the
+// trees into an ml::FlatForest (the fitted DecisionTrees are then dropped);
+// decision_function() walks that, adding each tree's leaf value in tree
+// order.
 #pragma once
 
 #include <cstdint>
@@ -61,9 +64,9 @@ class GradientBoosting {
   void fit(const Matrix& x, const std::vector<int>& y, int num_classes);
 
   /// Out-of-core fit: the same boosting loop driven entirely by pre-binned
-  /// codes — fit_regression_binned per round and predict_value_binned (a
-  /// partition walk over the code source) for the margin updates, so the
-  /// raw float matrix never materializes. Histogram-only splits
+  /// codes — fit_regression_binned per round, whose code partition also
+  /// yields the margin update — so the raw float matrix never
+  /// materializes. Histogram-only splits
   /// (exact_split_max forced to 0) make this a different estimator from
   /// fit(); it is bit-identical to itself at any cache budget, page size,
   /// or thread count.
@@ -75,15 +78,16 @@ class GradientBoosting {
   /// is bit-identical to summing the trees' predict_value one at a time.
   [[nodiscard]] Matrix decision_function(const Matrix& x) const;
 
-  [[nodiscard]] std::vector<double> feature_importance() const;
+  /// Normalized (sums to 1) split-gain importance per feature.
+  [[nodiscard]] const std::vector<double>& feature_importance() const {
+    return importance_;
+  }
   [[nodiscard]] int rounds_used() const { return rounds_used_; }
-  /// trees()[round * outputs + k] adds to margin column k.
-  [[nodiscard]] const std::vector<DecisionTree>& trees() const { return trees_; }
 
  private:
   /// The boosting loop shared by fit() and fit_binned(). Per round and
   /// output, `fit_round(tree, grad, hess, tree_cfg, rng, values)` fits the
-  /// tree and writes its output for each of the `n` training rows into
+  /// tree and writes its leaf value for each of the `n` training rows into
   /// `values`; the margin update and gradients are computed here.
   template <typename FitRound>
   void boost(std::size_t n, const std::vector<int>& y, int num_classes,
@@ -92,9 +96,9 @@ class GradientBoosting {
   GbdtConfig cfg_;
   int num_classes_ = 0;
   int rounds_used_ = 0;
-  /// trees_[round * num_outputs + k]
-  std::vector<DecisionTree> trees_;
-  FlatForest flat_;      // trees_, compiled at the end of boost()
+  /// Tree round * num_outputs_ + k adds to margin column k.
+  FlatForest flat_;
+  std::vector<double> importance_;
   int num_outputs_ = 0;  // 1 for binary, K for multi-class
 };
 

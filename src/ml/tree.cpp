@@ -75,6 +75,7 @@ struct DecisionTree::BuildContext {
   // Regression:
   const std::vector<float>* grad = nullptr;
   const std::vector<float>* hess = nullptr;
+  std::vector<float>* row_values = nullptr;  // out: each row's leaf value
 
   TreeConfig cfg;
   std::mt19937_64* rng = nullptr;
@@ -194,7 +195,15 @@ void DecisionTree::build(BuildContext ctx,
         });
   };
 
-  auto make_leaf = [&](Node& node, std::size_t begin, std::size_t end) {
+  // Every node's row range [begin, end) in ctx.rows, recorded as the node
+  // is made a leaf. A split only reorders rows inside its parent's range, so
+  // once growth stops the leaves' ranges tile ctx.rows.
+  std::vector<std::pair<std::size_t, std::size_t>> span;
+
+  auto make_leaf = [&](int node_index, std::size_t begin, std::size_t end) {
+    span.resize(nodes_.size());
+    span[static_cast<std::size_t>(node_index)] = {begin, end};
+    Node& node = nodes_[static_cast<std::size_t>(node_index)];
     if (ctx.regression()) {
       double g = 0, h = 0;
       for (std::size_t i = begin; i < end; ++i) {
@@ -521,7 +530,7 @@ void DecisionTree::build(BuildContext ctx,
     std::priority_queue<Cand> heap;
     auto push_candidate = [&](int node_index, std::size_t begin, std::size_t end,
                               int depth) {
-      make_leaf(nodes_[static_cast<std::size_t>(node_index)], begin, end);
+      make_leaf(node_index, begin, end);
       if (depth >= cfg.max_depth) return;
       SplitResult s = find_split(node_index, begin, end);
       if (s.feature >= 0)
@@ -543,7 +552,6 @@ void DecisionTree::build(BuildContext ctx,
       Node& node = nodes_[static_cast<std::size_t>(c.node_index)];
       node.feature = c.split.feature;
       node.threshold = c.split.threshold;
-      node.bin = c.split.bin;
       node.left = left;
       node.right = right;
       importance_[static_cast<std::size_t>(c.split.feature)] += c.split.gain;
@@ -559,7 +567,7 @@ void DecisionTree::build(BuildContext ctx,
     while (!stack.empty()) {
       PendingNode p = stack.back();
       stack.pop_back();
-      make_leaf(nodes_[static_cast<std::size_t>(p.node_index)], p.begin, p.end);
+      make_leaf(p.node_index, p.begin, p.end);
       if (p.depth >= cfg.max_depth) continue;
       SplitResult s = find_split(p.node_index, p.begin, p.end);
       if (s.feature < 0) continue;
@@ -573,13 +581,25 @@ void DecisionTree::build(BuildContext ctx,
       Node& node = nodes_[static_cast<std::size_t>(p.node_index)];
       node.feature = s.feature;
       node.threshold = s.threshold;
-      node.bin = s.bin;
       node.left = left;
       node.right = right;
       importance_[static_cast<std::size_t>(s.feature)] += s.gain;
       propagate_hists(p.node_index, left, right, p.begin, mid, p.end, p.depth + 1);
       stack.push_back({left, p.begin, mid, p.depth + 1, 0});
       stack.push_back({right, mid, p.end, p.depth + 1, 0});
+    }
+  }
+
+  // Each row's leaf value in one pass over the final leaves' ranges. The
+  // partition sent every row where the walk sends it (`x < threshold`
+  // resident, `code <= bin` ≡ `v < cuts[bin]` out-of-core), so this is
+  // predict_value without walking the tree again.
+  if (ctx.row_values) {
+    ctx.row_values->resize(bm->rows());
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      if (nodes_[i].feature >= 0) continue;
+      for (std::size_t j = span[i].first; j < span[i].second; ++j)
+        (*ctx.row_values)[ctx.rows[j]] = nodes_[i].value;
     }
   }
 }
@@ -597,10 +617,10 @@ void DecisionTree::fit_regression(const Matrix& x, const BinnedMatrix& binned,
                                   const std::vector<float>& grad,
                                   const std::vector<float>& hess,
                                   const TreeConfig& cfg, std::mt19937_64& rng,
-                                  const std::vector<std::uint32_t>* subset) {
-  build({.x = &x, .src = &binned, .grad = &grad, .hess = &hess, .cfg = cfg,
-         .rng = &rng},
-        subset);
+                                  std::vector<float>& row_values) {
+  build({.x = &x, .src = &binned, .grad = &grad, .hess = &hess,
+         .row_values = &row_values, .cfg = cfg, .rng = &rng},
+        nullptr);
 }
 
 namespace {
@@ -627,56 +647,10 @@ void DecisionTree::fit_regression_binned(const BinnedColumnSource& src,
                                          const std::vector<float>& hess,
                                          const TreeConfig& cfg,
                                          std::mt19937_64& rng,
-                                         const std::vector<std::uint32_t>* subset) {
-  build({.src = &src, .grad = &grad, .hess = &hess, .cfg = histogram_only(cfg),
-         .rng = &rng},
-        subset);
-}
-
-void DecisionTree::predict_value_binned(const BinnedColumnSource& src,
-                                        std::vector<float>& out) const {
-  const std::size_t n = src.rows();
-  out.assign(n, 0.0f);
-  if (nodes_.empty()) return;
-  if (nodes_[0].feature < 0) {
-    out.assign(n, nodes_[0].value);
-    return;
-  }
-  // Partition walk: route the full (sorted) row set down the tree with the
-  // same stable code partition the fit used, then stamp each leaf's value.
-  // Every internal node must carry a bin (fit_*_binned guarantees it);
-  // page access stays monotone per (node, feature) like during the fit.
-  std::vector<std::uint32_t> rows(n);
-  std::iota(rows.begin(), rows.end(), 0);
-  std::vector<std::uint32_t> scratch;
-  struct Item {
-    int node;
-    std::size_t begin, end;
-  };
-  std::vector<Item> stack{{0, 0, n}};
-  while (!stack.empty()) {
-    const Item it = stack.back();
-    stack.pop_back();
-    const Node& nd = nodes_[static_cast<std::size_t>(it.node)];
-    if (nd.feature < 0) {
-      for (std::size_t i = it.begin; i < it.end; ++i) out[rows[i]] = nd.value;
-      continue;
-    }
-    CodeCursor code(src, static_cast<std::size_t>(nd.feature));
-    scratch.clear();
-    std::size_t w = it.begin;
-    for (std::size_t i = it.begin; i < it.end; ++i) {
-      const std::uint32_t r = rows[i];
-      if (static_cast<int>(code.at(r)) <= nd.bin)
-        rows[w++] = r;
-      else
-        scratch.push_back(r);
-    }
-    std::copy(scratch.begin(), scratch.end(),
-              rows.begin() + static_cast<std::ptrdiff_t>(w));
-    stack.push_back({nd.left, it.begin, w});
-    stack.push_back({nd.right, w, it.end});
-  }
+                                         std::vector<float>& row_values) {
+  build({.src = &src, .grad = &grad, .hess = &hess, .row_values = &row_values,
+         .cfg = histogram_only(cfg), .rng = &rng},
+        nullptr);
 }
 
 int DecisionTree::leaf_index(const float* row) const {
@@ -712,6 +686,20 @@ int DecisionTree::depth() const {
     }
   }
   return best;
+}
+
+std::vector<double> normalized_importance(const std::vector<DecisionTree>& trees) {
+  if (trees.empty()) return {};
+  std::vector<double> total(trees.front().feature_importance().size(), 0.0);
+  for (const auto& tree : trees) {
+    const auto& imp = tree.feature_importance();
+    for (std::size_t i = 0; i < imp.size(); ++i) total[i] += imp[i];
+  }
+  double sum = 0;
+  for (double v : total) sum += v;
+  if (sum > 0)
+    for (double& v : total) v /= sum;
+  return total;
 }
 
 }  // namespace sugar::ml

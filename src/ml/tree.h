@@ -11,10 +11,12 @@
 // sorted-sweep search on raw floats. Nodes store raw-float thresholds
 // (histogram splits record the cut value), so prediction never needs codes.
 //
-// The Node array here is the fit-time representation. Ensembles predict
-// through ml::FlatForest (flat_forest.h), which compiles fitted trees into
-// one contiguous node array and walks them in lockstep; predict_class /
-// predict_value below are the single-tree node walk it must match.
+// The Node array here is the fit-time representation and lives only until
+// an ensemble compiles it into ml::FlatForest (flat_forest.h), which walks
+// all trees in lockstep. predict_class / predict_value below are the
+// single-tree reference walk the compiled forest must match. A regression
+// fit also hands back every training row's leaf value, read off the final
+// row partition, so the GBDT margin update never walks the new tree.
 #pragma once
 
 #include <cstdint>
@@ -66,12 +68,14 @@ class DecisionTree {
                       const std::vector<std::uint32_t>* subset = nullptr);
 
   /// Second-order regression fit on per-sample gradient/hessian (gradient
-  /// boosting). Leaf value = -G/(H+lambda). `binned` as in fit_classifier.
+  /// boosting) over every row. Leaf value = -G/(H+lambda). `binned` as in
+  /// fit_classifier. `row_values` is resized to x.rows() and receives each
+  /// training row's leaf value — bit-identical to predict_value(x.row(i)),
+  /// since the build partitions rows with the walk's own `x < threshold`.
   void fit_regression(const Matrix& x, const BinnedMatrix& binned,
                       const std::vector<float>& grad,
                       const std::vector<float>& hess, const TreeConfig& cfg,
-                      std::mt19937_64& rng,
-                      const std::vector<std::uint32_t>* subset = nullptr);
+                      std::mt19937_64& rng, std::vector<float>& row_values);
 
   /// Out-of-core fits: codes come from a BinnedColumnSource (resident or
   /// paged), the raw float matrix is never touched. Every split is a
@@ -79,7 +83,9 @@ class DecisionTree {
   /// on bin codes (`code <= split bin` ≡ `value < cuts[bin]`), and it is
   /// STABLE — so a sorted row set stays sorted in every node and paged
   /// column access is monotone down the whole tree. Thresholds are still
-  /// the raw-float cut values, so predict() works unchanged.
+  /// the raw-float cut values, so the walks work unchanged. `row_values`
+  /// as in fit_regression, resized to src.rows(): it equals predict_value
+  /// on the float rows the codes were quantized from.
   void fit_classifier_binned(const BinnedColumnSource& src,
                              const std::vector<int>& y, int num_classes,
                              const TreeConfig& cfg, std::mt19937_64& rng,
@@ -88,18 +94,11 @@ class DecisionTree {
                              const std::vector<float>& grad,
                              const std::vector<float>& hess,
                              const TreeConfig& cfg, std::mt19937_64& rng,
-                             const std::vector<std::uint32_t>* subset = nullptr);
+                             std::vector<float>& row_values);
 
+  /// The single-tree reference walk (`row[f] < threshold` goes left).
   [[nodiscard]] int predict_class(const float* row) const;
   [[nodiscard]] float predict_value(const float* row) const;
-
-  /// Regression outputs for every row of `src`, computed by walking the
-  /// tree level-by-level on bin codes (only valid for trees whose every
-  /// split is a histogram split, i.e. fitted via fit_*_binned). `out` is
-  /// resized to src.rows(). The GBDT margin update's out-of-core
-  /// replacement for per-row predict_value.
-  void predict_value_binned(const BinnedColumnSource& src,
-                            std::vector<float>& out) const;
 
   /// Total split gain attributed to each feature (unnormalized).
   [[nodiscard]] const std::vector<double>& feature_importance() const {
@@ -114,10 +113,6 @@ class DecisionTree {
   struct Node {
     int feature = -1;  // -1 => leaf
     float threshold = 0;
-    /// Histogram splits also record the bin the threshold came from
-    /// (threshold == cuts[bin]); -1 for exact-search splits. Lets the
-    /// out-of-core paths partition and traverse on uint8 codes.
-    int bin = -1;
     int left = -1, right = -1;
     float value = 0;  // regression output
     int cls = 0;      // classification output
@@ -125,12 +120,18 @@ class DecisionTree {
 
   struct BuildContext;
   /// Shared by every fit entry point: fills ctx.rows from `subset` (or all
-  /// rows of ctx.src) and grows the tree.
+  /// rows of ctx.src), grows the tree and, for regression, writes each
+  /// row's leaf value to ctx.row_values.
   void build(BuildContext ctx, const std::vector<std::uint32_t>* subset);
   int leaf_index(const float* row) const;
 
   std::vector<Node> nodes_;
   std::vector<double> importance_;
 };
+
+/// Split gain per feature summed over `trees` in order, normalized to sum
+/// to 1 (left all zero when no split gained); empty for no trees. The one
+/// importance an ensemble keeps after compiling its trees.
+std::vector<double> normalized_importance(const std::vector<DecisionTree>& trees);
 
 }  // namespace sugar::ml

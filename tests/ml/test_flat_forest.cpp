@@ -1,8 +1,13 @@
 // Compiled ≡ node-walk: every prediction the compiled ml::FlatForest makes
-// — RandomForest votes from fit() and fit_binned(), GBDT margin scores —
-// must equal the per-tree DecisionTree walk bit for bit, on rows holding
+// — majority votes of classification trees, leaf values of regression trees
+// — must equal the per-tree DecisionTree walk bit for bit, on rows holding
 // NaN and ±inf, for single-leaf trees (which must never read the row), for
-// tree counts off the lockstep block size, and at pool widths 1/2/7.
+// tree counts off the lockstep block size, and at pool widths 1/2/7. The
+// ensembles keep only their compiled forest, so the live oracle runs on
+// trees fitted here through DecisionTree, and the ensembles' own outputs
+// (RandomForest::predict / predict_row, GBDT decision_function) are pinned
+// to digests recorded while they still kept their trees and were checked
+// against this same node walk.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,8 +15,11 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/artifact.h"
 #include "core/threadpool.h"
 #include "ml/binned.h"
 #include "ml/flat_forest.h"
@@ -29,6 +37,9 @@ class ScopedThreads {
 };
 
 const std::size_t kWidths[] = {1, 2, 7};
+/// Tree counts below, at, just past and well past the block size.
+const std::size_t kTreeCounts[] = {1, FlatForest::kBlock - 1, FlatForest::kBlock,
+                                   FlatForest::kBlock + 1, 2 * FlatForest::kBlock + 5};
 
 /// Noisy overlapping blobs on a 0.5 grid: deep, uneven trees whose exact
 /// thresholds (midpoints) sit on the 0.25 grid and whose histogram cuts
@@ -66,6 +77,14 @@ Matrix make_queries(std::size_t rows, std::size_t dims, std::uint64_t seed) {
   return q;
 }
 
+/// A bootstrap bag of n rows, as the forest draws one per tree.
+std::vector<std::uint32_t> bag(std::mt19937_64& rng, std::size_t n) {
+  std::uniform_int_distribution<std::uint32_t> pick(0, static_cast<std::uint32_t>(n - 1));
+  std::vector<std::uint32_t> rows(n);
+  for (auto& r : rows) r = pick(rng);
+  return rows;
+}
+
 /// The node walk: one vote per tree, std::max_element over the counts.
 int node_walk_vote(const std::vector<DecisionTree>& trees, const float* row) {
   std::vector<int> votes;
@@ -79,48 +98,82 @@ int node_walk_vote(const std::vector<DecisionTree>& trees, const float* row) {
                           votes.begin());
 }
 
-/// The node-walk margin: trees outer, rows inner, as decision_function
-/// accumulated before it was compiled.
-Matrix node_walk_scores(const std::vector<DecisionTree>& trees, std::size_t outputs,
-                        float learning_rate, const Matrix& x) {
-  Matrix scores(x.rows(), outputs);
-  for (std::size_t t = 0; t < trees.size(); ++t)
-    for (std::size_t i = 0; i < x.rows(); ++i)
-      scores(i, t % outputs) += learning_rate * trees[t].predict_value(x.row(i));
-  return scores;
-}
-
-bool bit_equal(const Matrix& a, const Matrix& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         std::memcmp(a.data().data(), b.data().data(), a.size() * sizeof(float)) == 0;
-}
-
-void expect_votes_match(const RandomForest& rf, const Matrix& q) {
-  const std::vector<int> pred = rf.predict(q);
-  ASSERT_EQ(pred.size(), q.rows());
-  for (std::size_t i = 0; i < q.rows(); ++i) {
-    const int ref = node_walk_vote(rf.trees(), q.row(i));
-    ASSERT_EQ(pred[i], ref) << "row " << i;
-    ASSERT_EQ(rf.predict_row(q.row(i)), ref) << "row " << i;
+/// Compiles every prefix size in kTreeCounts and checks its vote on every
+/// query row against the node walk.
+void expect_prefix_votes_match(const std::vector<DecisionTree>& trees, const Matrix& q) {
+  for (const std::size_t count : kTreeCounts) {
+    const std::vector<DecisionTree> prefix(trees.begin(),
+                                           trees.begin() + static_cast<std::ptrdiff_t>(count));
+    const FlatForest flat(prefix);
+    ASSERT_EQ(flat.num_trees(), count);
+    for (std::size_t i = 0; i < q.rows(); ++i)
+      ASSERT_EQ(flat.vote(q.row(i)), node_walk_vote(prefix, q.row(i)))
+          << "trees " << count << " row " << i;
   }
+}
+
+/// FNV-1a digest of a vector's raw bytes, as 16 hex digits.
+template <typename V>
+std::string digest(const V& v) {
+  return core::hex64(core::fnv1a64(std::string_view(
+      reinterpret_cast<const char*>(v.data()),
+      v.size() * sizeof(typename V::value_type))));
+}
+
+/// RandomForest::predict over the queries; predict_row must agree row by row.
+std::string forest_digest(const RandomForest& rf, const Matrix& q) {
+  const std::vector<int> pred = rf.predict(q);
+  EXPECT_EQ(pred.size(), q.rows());
+  for (std::size_t i = 0; i < q.rows(); ++i)
+    EXPECT_EQ(rf.predict_row(q.row(i)), pred[i]) << "row " << i;
+  return digest(pred);
+}
+
+struct GbdtCase {
+  GbdtConfig cfg;
+  int classes;
+};
+
+/// The GBDT ensembles pinned below: xgboost, lightgbm, a 33-tree forest
+/// (a partial final block) and a binary task.
+std::vector<GbdtCase> gbdt_cases() {
+  GbdtConfig small = GbdtConfig::xgboost_style();
+  small.rounds = 11;
+  return {{GbdtConfig::xgboost_style(), 3},
+          {GbdtConfig::lightgbm_style(), 3},
+          {small, 3},
+          {GbdtConfig::xgboost_style(), 2}};
 }
 
 TEST(FlatForest, ForestFitVotesMatchNodeWalkAllWidths) {
   auto [x, y] = make_blobs(7, 60, 9, 51);
   const Matrix q = make_queries(200, 9, 52);
-  // Tree counts below, at, just past and well past the block size.
-  for (const std::size_t trees :
-       {std::size_t{1}, FlatForest::kBlock - 1, FlatForest::kBlock,
-        FlatForest::kBlock + 1, 2 * FlatForest::kBlock + 5}) {
-    for (std::size_t w : kWidths) {
-      ScopedThreads threads(w);
-      ForestConfig cfg;
-      cfg.num_trees = static_cast<int>(trees);
-      cfg.tree.features_per_split = 3;
-      RandomForest rf(cfg);
+  TreeConfig cfg = ForestConfig().tree;
+  cfg.features_per_split = 3;
+  // Recorded from RandomForest::fit at each tree count, each equal row by
+  // row to the node walk over the forest's own trees.
+  const char* const pinned[] = {"d377a7714e2f0547", "922e82ae496de990",
+                                "dc849df1d8dde297", "6cdd4485b1eb5c51",
+                                "42fb09010cb8e972"};
+  for (std::size_t w : kWidths) {
+    ScopedThreads threads(w);
+    SCOPED_TRACE(testing::Message() << "width " << w);
+    const BinnedMatrix bm(x, cfg.histogram_bins);
+    std::vector<DecisionTree> trees(kTreeCounts[4]);
+    for (std::size_t t = 0; t < trees.size(); ++t) {
+      std::mt19937_64 rng(100 + t);
+      const auto rows = bag(rng, x.rows());
+      trees[t].fit_classifier(x, bm, y, 7, cfg, rng, &rows);
+    }
+    expect_prefix_votes_match(trees, q);
+
+    for (std::size_t c = 0; c < std::size(kTreeCounts); ++c) {
+      ForestConfig fc;
+      fc.num_trees = static_cast<int>(kTreeCounts[c]);
+      fc.tree.features_per_split = 3;
+      RandomForest rf(fc);
       rf.fit(x, y, 7);
-      SCOPED_TRACE(testing::Message() << "trees " << trees << " width " << w);
-      expect_votes_match(rf, q);
+      EXPECT_EQ(forest_digest(rf, q), pinned[c]) << "trees " << kTreeCounts[c];
     }
   }
 }
@@ -128,15 +181,27 @@ TEST(FlatForest, ForestFitVotesMatchNodeWalkAllWidths) {
 TEST(FlatForest, ForestFitBinnedVotesMatchNodeWalkAllWidths) {
   auto [x, y] = make_blobs(5, 80, 6, 53);
   const Matrix q = make_queries(150, 6, 54);
+  const TreeConfig cfg = ForestConfig().tree;
   for (std::size_t w : kWidths) {
     ScopedThreads threads(w);
-    const BinnedMatrix bm(x, 32);
-    ForestConfig cfg;
-    cfg.num_trees = static_cast<int>(FlatForest::kBlock + 3);
-    RandomForest rf(cfg);
-    rf.fit_binned(bm, y, 5);
     SCOPED_TRACE(testing::Message() << "width " << w);
-    expect_votes_match(rf, q);
+    const BinnedMatrix bm(x, 32);
+    std::vector<DecisionTree> trees(kTreeCounts[4]);
+    for (std::size_t t = 0; t < trees.size(); ++t) {
+      std::mt19937_64 rng(200 + t);
+      auto rows = bag(rng, x.rows());
+      std::sort(rows.begin(), rows.end());
+      trees[t].fit_classifier_binned(bm, y, 5, cfg, rng, &rows);
+    }
+    expect_prefix_votes_match(trees, q);
+
+    // Recorded from RandomForest::fit_binned, equal row by row to the node
+    // walk over the forest's own trees.
+    ForestConfig fc;
+    fc.num_trees = static_cast<int>(FlatForest::kBlock + 3);
+    RandomForest rf(fc);
+    rf.fit_binned(bm, y, 5);
+    EXPECT_EQ(forest_digest(rf, q), "143cd54779692cf3");
   }
 }
 
@@ -144,30 +209,60 @@ TEST(FlatForest, GbdtScoresBitIdenticalToNodeWalkAllWidths) {
   auto [x3, y3] = make_blobs(3, 70, 5, 55);
   auto [x2, y2] = make_blobs(2, 90, 5, 56);
   const Matrix q = make_queries(120, 5, 57);
-  struct Case {
-    GbdtConfig cfg;
-    const Matrix* x;
-    const std::vector<int>* y;
-    int classes;
-  };
-  GbdtConfig small = GbdtConfig::xgboost_style();
-  small.rounds = 11;  // 33 trees: a partial final block
-  const Case cases[] = {{GbdtConfig::xgboost_style(), &x3, &y3, 3},
-                        {GbdtConfig::lightgbm_style(), &x3, &y3, 3},
-                        {small, &x3, &y3, 3},
-                        {GbdtConfig::xgboost_style(), &x2, &y2, 2}};
-  for (const Case& c : cases) {
-    for (std::size_t w : kWidths) {
-      ScopedThreads threads(w);
-      GradientBoosting gb(c.cfg);
-      gb.fit(*c.x, *c.y, c.classes);
-      const std::size_t outputs = c.classes <= 2 ? 1 : static_cast<std::size_t>(c.classes);
-      SCOPED_TRACE(testing::Message() << "classes " << c.classes << " trees "
-                                      << gb.trees().size() << " width " << w);
-      EXPECT_TRUE(bit_equal(gb.decision_function(q),
-                            node_walk_scores(gb.trees(), outputs, c.cfg.learning_rate, q)));
-      EXPECT_TRUE(bit_equal(gb.decision_function(*c.x),
-                            node_walk_scores(gb.trees(), outputs, c.cfg.learning_rate, *c.x)));
+  const TreeConfig depth_wise = GbdtConfig::xgboost_style().tree;
+  const TreeConfig leaf_wise = GbdtConfig::lightgbm_style().tree;
+  for (std::size_t w : kWidths) {
+    ScopedThreads threads(w);
+    SCOPED_TRACE(testing::Message() << "width " << w);
+    // Regression trees on random gradients, alternating growth mode and
+    // resident / code-only fits: each compiled leaf value must be the
+    // tree's own predict_value.
+    const BinnedMatrix bm(x3, depth_wise.histogram_bins);
+    std::vector<DecisionTree> trees(kTreeCounts[4]);
+    std::vector<float> grad(x3.rows()), hess(x3.rows()), leaf;
+    for (std::size_t t = 0; t < trees.size(); ++t) {
+      std::mt19937_64 rng(300 + t);
+      std::uniform_real_distribution<float> unit(0.02f, 0.98f);
+      for (std::size_t i = 0; i < x3.rows(); ++i) {
+        const float p = unit(rng);
+        grad[i] = p - (y3[i] == static_cast<int>(t % 3) ? 1.0f : 0.0f);
+        hess[i] = p * (1.0f - p);
+      }
+      const TreeConfig& cfg = t % 2 ? leaf_wise : depth_wise;
+      if (t % 4 < 2)
+        trees[t].fit_regression(x3, bm, grad, hess, cfg, rng, leaf);
+      else
+        trees[t].fit_regression_binned(bm, grad, hess, cfg, rng, leaf);
+    }
+    for (const std::size_t count : kTreeCounts) {
+      const std::vector<DecisionTree> prefix(
+          trees.begin(), trees.begin() + static_cast<std::ptrdiff_t>(count));
+      const FlatForest flat(prefix);
+      std::vector<float> values(count);
+      for (std::size_t i = 0; i < q.rows(); ++i) {
+        flat.leaf_values(q.row(i), values.data());
+        for (std::size_t t = 0; t < count; ++t) {
+          const float ref = prefix[t].predict_value(q.row(i));
+          ASSERT_EQ(std::memcmp(&values[t], &ref, sizeof ref), 0)
+              << "trees " << count << " tree " << t << " row " << i;
+        }
+      }
+    }
+
+    // Recorded from GradientBoosting::decision_function on the queries and
+    // on the training rows, each bit-identical to the node-walk sum over
+    // the model's own trees (trees outer, rows inner).
+    const char* const pinned[][2] = {{"9388f81098c805db", "16ac207987467ad8"},
+                                     {"dec7b77932ce8005", "4ea12b5fa05d9bea"},
+                                     {"7ada320910903c8c", "c42483a8bda7056f"},
+                                     {"0ca5846808b65292", "ddeb41f9061349e8"}};
+    const auto cases = gbdt_cases();
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      const Matrix& x = cases[c].classes == 2 ? x2 : x3;
+      GradientBoosting gb(cases[c].cfg);
+      gb.fit(x, cases[c].classes == 2 ? y2 : y3, cases[c].classes);
+      EXPECT_EQ(digest(gb.decision_function(q).data()), pinned[c][0]) << "case " << c;
+      EXPECT_EQ(digest(gb.decision_function(x).data()), pinned[c][1]) << "case " << c;
     }
   }
 }
@@ -186,13 +281,26 @@ TEST(FlatForest, SingleLeafForestsNeverReadTheRow) {
   rf.fit(x, pure, 3);
   EXPECT_EQ(rf.predict_row(nullptr), 2);
 
+  const BinnedMatrix bm(empty, 64);
+  std::vector<DecisionTree> trees(3);
+  std::vector<float> leaf;
+  for (auto& tree : trees) {
+    std::mt19937_64 rng(62);
+    tree.fit_regression(empty, bm, {}, {}, GbdtConfig().tree, rng, leaf);
+    EXPECT_TRUE(leaf.empty());
+  }
+  const FlatForest flat(trees);
+  std::vector<float> values(flat.num_trees(), 1.0f);
+  flat.leaf_values(nullptr, values.data());
+  for (std::size_t t = 0; t < values.size(); ++t)
+    EXPECT_EQ(values[t], trees[t].predict_value(x.row(0))) << "tree " << t;
+
+  // A zero-row GBDT fit scores every row with its trees' -0/(0+lambda)
+  // leaves: all zero.
   GradientBoosting gb;
   gb.fit(empty, {}, 3);
-  const FlatForest flat(gb.trees());
-  std::vector<float> leaf(flat.num_trees(), 1.0f);
-  flat.leaf_values(nullptr, leaf.data());
-  for (std::size_t t = 0; t < leaf.size(); ++t)
-    EXPECT_EQ(leaf[t], gb.trees()[t].predict_value(x.row(0))) << "tree " << t;
+  const Matrix scores = gb.decision_function(x);
+  for (float s : scores.data()) EXPECT_EQ(s, 0.0f);
 }
 
 TEST(FlatForest, MixedDepthBlocksAndTiesMatchNodeWalk) {

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <filesystem>
 #include <random>
+#include <string>
 
+#include "core/threadpool.h"
+#include "dataset/store.h"
 #include "ml/binned.h"
 #include "ml/exact_sort.h"
 #include "ml/forest.h"
@@ -104,9 +110,154 @@ TEST(DecisionTree, RegressionFitsResiduals) {
   cfg.lambda = 0.0f;
   const BinnedMatrix bm(x, cfg.histogram_bins);
   std::mt19937_64 rng(8);
-  tree.fit_regression(x, bm, grad, hess, cfg, rng);
+  std::vector<float> leaf;
+  tree.fit_regression(x, bm, grad, hess, cfg, rng, leaf);
   EXPECT_NEAR(tree.predict_value(x.row(10)), 2.0f, 0.2f);
   EXPECT_NEAR(tree.predict_value(x.row(90)), -4.0f, 0.2f);
+}
+
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(std::size_t n) { core::set_global_threads(n); }
+  ~ScopedThreads() { core::set_global_threads(0); }
+};
+
+/// Row i's emitted leaf value must be predict_value(x.row(i)), bit for bit.
+void expect_leaf_values_match_walk(const DecisionTree& tree, const Matrix& x,
+                                   const std::vector<float>& leaf) {
+  ASSERT_EQ(leaf.size(), x.rows());
+  for (std::size_t i = 0; i < x.rows(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(leaf[i]),
+              std::bit_cast<std::uint32_t>(tree.predict_value(x.row(i))))
+        << "row " << i << ": " << leaf[i] << " vs " << tree.predict_value(x.row(i));
+}
+
+TEST(DecisionTree, TrainingLeafValuesMatchNodeWalk) {
+  // The regression fits read each training row's leaf value off the final
+  // row partition instead of walking the tree; that must be exactly the
+  // reference walk on the raw rows, for every growth mode and split path.
+  constexpr std::size_t kRows = 600, kDims = 5;
+  std::mt19937_64 gen(31);
+  std::normal_distribution<float> noise(0.0f, 1.5f);
+  std::uniform_real_distribution<float> unit(0.02f, 0.98f);
+  Matrix x(kRows, kDims);
+  std::vector<float> grad(kRows), hess(kRows);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    const int c = static_cast<int>(i % 3);
+    for (std::size_t d = 0; d < kDims; ++d)  // 0.5 grid: many ties
+      x(i, d) = std::round(2.0f * (static_cast<float>(c * (d % 2 + 1)) + noise(gen))) / 2.0f;
+    const float p = unit(gen);
+    grad[i] = p - (c == 0 ? 1.0f : 0.0f);
+    hess[i] = p * (1.0f - p);
+  }
+
+  TreeConfig depth_wise;  // histogram at every node (partition still on x)
+  depth_wise.max_depth = 6;
+  depth_wise.min_samples_leaf = 4;
+  depth_wise.exact_split_max = 0;
+  TreeConfig mixed = depth_wise;  // large nodes histogram, small ones exact
+  mixed.exact_split_max = 64;
+  TreeConfig exact = depth_wise;
+  exact.exact_split_max = kRows;
+  // The boosting loop's leaf-wise preset: 31 leaves are used up long before
+  // the heap runs dry, so fitted candidates are left unsplit.
+  TreeConfig leaf_wise = GbdtConfig::lightgbm_style().tree;
+  leaf_wise.exact_split_max = 64;
+
+  const BinnedMatrix bm(x, 32);
+  const std::filesystem::path store =
+      std::filesystem::path(::testing::TempDir()) / "sugar_leaf_values.sugc";
+  {
+    std::vector<dataset::ColumnSpec> schema;
+    for (std::size_t d = 0; d < kDims; ++d)
+      schema.push_back({"f" + std::to_string(d), dataset::ColumnType::U8, bm.cuts(d)});
+    dataset::StoreWriter::Options opts;
+    opts.group_rows = 64;  // many pages per column
+    opts.bins = bm.bins();
+    dataset::StoreWriter w(store.string(), schema, opts);
+    dataset::StoreError err;
+    for (std::size_t i = 0; i < kRows; ++i) {
+      for (std::size_t d = 0; d < kDims; ++d) w.add_u8(d, bm.codes(d)[i]);
+      ASSERT_TRUE(w.end_row(&err)) << err.message;
+    }
+    ASSERT_TRUE(w.finalize(&err)) << err.message;
+  }
+  dataset::StoreError err;
+  auto reader = dataset::StoreReader::open(store.string(), &err);
+  ASSERT_TRUE(reader) << err.message;
+  const dataset::PagedCodeSource paged(*reader, {0, 1, 2, 3, 4});
+
+  // Degenerate split: feature 0 holds two adjacent floats whose midpoint
+  // rounds down to the lower one, so the exact sweep's split sends every
+  // row right (mid == begin) and the node stays a leaf. Feature 1 splits
+  // the root first, so both children take that path. With 1.5 in place of
+  // the upper float the same data splits all four ways.
+  const auto degenerate_data = [](float hi) {
+    Matrix xd(40, 2);
+    for (std::size_t i = 0; i < 40; ++i) {
+      xd(i, 0) = i % 2 ? hi : 1.0f;
+      xd(i, 1) = i < 20 ? 0.0f : 10.0f;
+    }
+    return xd;
+  };
+  const float hi = std::nextafter(1.0f, 2.0f);
+  ASSERT_EQ(0.5f * (1.0f + hi), 1.0f);
+  const Matrix xd = degenerate_data(hi), xs = degenerate_data(1.5f);
+  std::vector<float> gd(40), hd(40, 1.0f);
+  for (std::size_t i = 0; i < 40; ++i)
+    gd[i] = (i < 20 ? -5.0f : 5.0f) + (i % 2 ? 3.0f : -3.0f);
+  const BinnedMatrix bmd(xd, 32), bms(xs, 32);
+  TreeConfig degenerate;
+  degenerate.exact_split_max = 40;
+  TreeConfig degenerate_leaf_wise = degenerate;
+  degenerate_leaf_wise.max_leaves = 8;
+
+  for (const std::size_t w : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
+    ScopedThreads threads(w);
+    std::vector<float> leaf;
+    for (const TreeConfig* cfg : {&depth_wise, &mixed, &exact, &leaf_wise}) {
+      SCOPED_TRACE(testing::Message() << "resident, width " << w << ", max_leaves "
+                                      << cfg->max_leaves << ", exact_split_max "
+                                      << cfg->exact_split_max);
+      DecisionTree tree;
+      std::mt19937_64 rng(32);
+      tree.fit_regression(x, bm, grad, hess, *cfg, rng, leaf);
+      EXPECT_GT(tree.node_count(), 15u);
+      expect_leaf_values_match_walk(tree, x, leaf);
+    }
+    {
+      DecisionTree tree;
+      std::mt19937_64 rng(33);
+      tree.fit_regression(x, bm, grad, hess, leaf_wise, rng, leaf);
+      EXPECT_EQ(tree.node_count(), 2u * 31 - 1) << "leaf budget not reached";
+    }
+    for (const TreeConfig* cfg : {&degenerate, &degenerate_leaf_wise}) {
+      SCOPED_TRACE(testing::Message() << "degenerate, width " << w << ", max_leaves "
+                                      << cfg->max_leaves);
+      DecisionTree tree, control;
+      std::mt19937_64 rng(34);
+      control.fit_regression(xs, bms, gd, hd, *cfg, rng, leaf);
+      EXPECT_EQ(control.node_count(), 7u);
+      tree.fit_regression(xd, bmd, gd, hd, *cfg, rng, leaf);
+      EXPECT_EQ(tree.node_count(), 3u);  // the root split only
+      expect_leaf_values_match_walk(tree, xd, leaf);
+    }
+    for (const TreeConfig* cfg : {&depth_wise, &leaf_wise}) {
+      for (const BinnedColumnSource* src :
+           {static_cast<const BinnedColumnSource*>(&bm),
+            static_cast<const BinnedColumnSource*>(&paged)}) {
+        SCOPED_TRACE(testing::Message() << (src == &bm ? "BinnedMatrix" : "paged")
+                                        << ", width " << w << ", max_leaves "
+                                        << cfg->max_leaves);
+        DecisionTree tree;
+        std::mt19937_64 rng(35);
+        tree.fit_regression_binned(*src, grad, hess, *cfg, rng, leaf);
+        EXPECT_GT(tree.node_count(), 15u);
+        expect_leaf_values_match_walk(tree, x, leaf);
+      }
+    }
+  }
+  std::filesystem::remove(store);
 }
 
 TEST(DecisionTree, LeafWiseGrowthRespectsLeafBudget) {

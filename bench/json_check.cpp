@@ -112,226 +112,6 @@ bool check_trace_section(const char* path, const Json& trace) {
   return true;
 }
 
-/// Requires every member of `obj` to be a non-negative JSON number.
-bool all_nonneg_numbers(const char* path, const Json& obj, const char* what) {
-  if (!obj.is_object()) return fail(path, "serve section field is not an object");
-  for (const auto& [key, value] : obj.members()) {
-    if (value.type() != Json::Type::kNumber || value.number_or(-1) < 0) {
-      std::fprintf(stderr, "json_check: %s: serve %s has a non-numeric or "
-                           "negative field '%s'\n", path, what, key.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
-/// A counter timeline: an array of counter objects where every field is a
-/// non-negative number and monotone non-decreasing across entries — the
-/// engine's counters are contractually monotone, so a decrease means torn
-/// stats or a reset bug. The crash-recovery cells reuse this across the
-/// crash boundary: counters at the kill point must be <= the final ones,
-/// proving restore never rewinds accounting.
-bool check_counter_timeline(const char* path, const Json& snaps,
-                            const char* what) {
-  if (!snaps.is_array()) {
-    std::fprintf(stderr, "json_check: %s: %s is not an array\n", path, what);
-    return false;
-  }
-  const Json* prev = nullptr;
-  for (const Json& snap : snaps.items()) {
-    if (!all_nonneg_numbers(path, snap, what)) return false;
-    if (prev) {
-      for (const auto& [key, value] : prev->members()) {
-        const Json* later = snap.find(key);
-        if (!later || later->number_or(-1) < value.number_or(0)) {
-          std::fprintf(stderr,
-                       "json_check: %s: %s counter '%s' is not monotone\n",
-                       path, what, key.c_str());
-          return false;
-        }
-      }
-    }
-    prev = &snap;
-  }
-  return true;
-}
-
-/// The serve cell extra written by bench_serve: counters/gauges/latency
-/// (all non-negative numbers) plus the `snapshots` counter timeline.
-bool check_serve_section(const char* path, const Json& serve) {
-  if (!serve.is_object()) return fail(path, "serve extra is not an object");
-  for (const char* section : {"counters", "gauges", "latency"}) {
-    const Json* s = serve.find(section);
-    if (!s) return fail(path, "serve extra missing counters/gauges/latency");
-    if (!all_nonneg_numbers(path, *s, section)) return false;
-  }
-  for (const char* field : {"count", "p50_us", "p90_us", "p99_us", "p999_us"}) {
-    const Json* v = serve.find("latency")->find(field);
-    if (!v || v->type() != Json::Type::kNumber)
-      return fail(path, "serve latency missing a percentile field");
-  }
-  const Json* snaps = serve.find("snapshots");
-  if (!snaps) return fail(path, "serve extra missing snapshots array");
-  return check_counter_timeline(path, *snaps, "serve snapshot");
-}
-
-/// RecoveryStats: numeric accounting fields plus the last_error string.
-bool check_recovery_section(const char* path, const Json& recovery) {
-  if (!recovery.is_object())
-    return fail(path, "recovery section is not an object");
-  for (const char* field : {"snapshots_saved", "save_failures",
-                            "snapshots_restored", "restore_failures",
-                            "cold_starts"}) {
-    const Json* v = recovery.find(field);
-    if (!v || v->type() != Json::Type::kNumber || v->number_or(-1) < 0)
-      return fail(path, "recovery section missing a non-negative counter");
-  }
-  const Json* last = recovery.find("last_error");
-  if (!last || last->type() != Json::Type::kString)
-    return fail(path, "recovery section missing last_error string");
-  return true;
-}
-
-/// The crash_recovery cell extra: the kill-restore-replay run must report
-/// bit-identical verdicts and counters (`identical` is the bench's own
-/// comparison — a false here is a determinism bug, so the artifact check
-/// fails hard), and the two-entry counter timeline spanning the crash
-/// boundary must be monotone.
-bool check_crash_section(const char* path, const Json& crash) {
-  if (!crash.is_object())
-    return fail(path, "crash_recovery extra is not an object");
-  const Json* kill = crash.find("kill_tick");
-  if (!kill || kill->type() != Json::Type::kNumber || kill->number_or(-1) < 0)
-    return fail(path, "crash_recovery missing non-negative kill_tick");
-  for (const char* field : {"save_ok", "restore_ok", "counters_identical",
-                            "verdicts_identical", "identical"}) {
-    const Json* v = crash.find(field);
-    if (!v || v->type() != Json::Type::kBool)
-      return fail(path, "crash_recovery missing a boolean assertion field");
-    if (!v->bool_or(false)) {
-      std::fprintf(stderr,
-                   "json_check: %s: crash_recovery '%s' is false — restored "
-                   "run diverged from the uninterrupted one\n", path, field);
-      return false;
-    }
-  }
-  const Json* recovery = crash.find("recovery");
-  if (!recovery || !check_recovery_section(path, *recovery)) return false;
-  const Json* snaps = crash.find("snapshots");
-  if (!snaps) return fail(path, "crash_recovery missing snapshots timeline");
-  if (!check_counter_timeline(path, *snaps, "crash_recovery")) return false;
-  if (snaps->items().size() < 2)
-    return fail(path, "crash_recovery timeline must span the crash boundary");
-  return true;
-}
-
-/// Circuit-breaker section: state, monotone counters and a transition log
-/// that must be a legal walk of the breaker state machine —
-/// closed→open, open→half_open, half_open→open, half_open→closed — starting
-/// from closed, with each edge departing the state the previous one entered
-/// and call ordinals non-decreasing.
-bool check_breaker_section(const char* path, const Json& breaker) {
-  if (!breaker.is_object())
-    return fail(path, "breaker section is not an object");
-  auto legal_state = [](const std::string& s) {
-    return s == "closed" || s == "open" || s == "half_open";
-  };
-  const Json* state = breaker.find("state");
-  if (!state || !legal_state(state->string_or("")))
-    return fail(path, "breaker state is not closed/open/half_open");
-  const Json* counters = breaker.find("counters");
-  if (!counters || !all_nonneg_numbers(path, *counters, "breaker counters"))
-    return false;
-  const Json* transitions = breaker.find("transitions");
-  if (!transitions || !transitions->is_array())
-    return fail(path, "breaker missing transitions array");
-  std::string at = "closed";
-  double last_call = 0;
-  for (const Json& t : transitions->items()) {
-    const std::string& from = t.find("from") ? t.find("from")->string_or("") : "";
-    const std::string& to = t.find("to") ? t.find("to")->string_or("") : "";
-    const Json* call = t.find("at_call");
-    if (!legal_state(from) || !legal_state(to) || !call ||
-        call->type() != Json::Type::kNumber)
-      return fail(path, "breaker transition is malformed");
-    const bool legal_edge = (from == "closed" && to == "open") ||
-                            (from == "open" && to == "half_open") ||
-                            (from == "half_open" && to == "open") ||
-                            (from == "half_open" && to == "closed");
-    if (!legal_edge) {
-      std::fprintf(stderr,
-                   "json_check: %s: illegal breaker transition %s -> %s\n",
-                   path, from.c_str(), to.c_str());
-      return false;
-    }
-    if (from != at) {
-      std::fprintf(stderr,
-                   "json_check: %s: breaker transition departs '%s' but the "
-                   "machine was in '%s'\n", path, from.c_str(), at.c_str());
-      return false;
-    }
-    if (call->number_or(-1) < last_call)
-      return fail(path, "breaker transition call ordinals decrease");
-    at = to;
-    last_call = call->number_or(0);
-  }
-  return true;
-}
-
-/// The chaos_cell extra: per-mode deterministic fault injection. Every mode
-/// carries the injector's draw/fire accounting (fired <= draws, probability
-/// in [0,1]) and the engine stats; the breaker mode must include a legal
-/// breaker section, and the io mode must prove a post-storm snapshot still
-/// restores.
-bool check_chaos_cell_section(const char* path, const Json& cell) {
-  if (!cell.is_object()) return fail(path, "chaos_cell extra is not an object");
-  const Json* mode = cell.find("mode");
-  const std::string& m = mode ? mode->string_or("") : "";
-  if (m != "breaker" && m != "alloc" && m != "io")
-    return fail(path, "chaos_cell mode is not breaker/alloc/io");
-  const Json* chaos = cell.find("chaos");
-  if (!chaos || !chaos->is_object())
-    return fail(path, "chaos_cell missing chaos object");
-  const Json* sites = chaos->find("sites");
-  if (!sites || !sites->is_array())
-    return fail(path, "chaos_cell missing chaos.sites array");
-  for (const Json& site : sites->items()) {
-    const Json* name = site.find("site");
-    if (!name || name->string_or("").empty())
-      return fail(path, "chaos site missing name");
-    const Json* p = site.find("probability");
-    if (!p || p->type() != Json::Type::kNumber || p->number_or(-1) < 0 ||
-        p->number_or(2) > 1)
-      return fail(path, "chaos site probability outside [0, 1]");
-    const Json* draws = site.find("draws");
-    const Json* fired = site.find("fired");
-    if (!draws || !fired || draws->type() != Json::Type::kNumber ||
-        fired->type() != Json::Type::kNumber ||
-        fired->number_or(-1) > draws->number_or(0))
-      return fail(path, "chaos site fired exceeds draws");
-  }
-  const Json* stats = cell.find("stats");
-  if (!stats || !stats->is_object())
-    return fail(path, "chaos_cell missing stats object");
-  for (const char* section : {"counters", "gauges"}) {
-    const Json* s = stats->find(section);
-    if (!s || !all_nonneg_numbers(path, *s, section)) return false;
-  }
-  if (m == "breaker") {
-    const Json* breaker = cell.find("breaker");
-    if (!breaker) return fail(path, "breaker chaos cell missing breaker section");
-    if (!check_breaker_section(path, *breaker)) return false;
-  }
-  if (m == "io") {
-    const Json* recovery = cell.find("recovery");
-    if (!recovery || !check_recovery_section(path, *recovery)) return false;
-    const Json* restored = cell.find("final_restore_ok");
-    if (!restored || !restored->bool_or(false))
-      return fail(path, "io chaos cell: post-storm snapshot did not restore");
-  }
-  return true;
-}
-
 /// The out-of-core cell extra written by `bench_table8_shallow --scale`
 /// (the core::run_ooc_scale payload): streamed-pipeline evidence. Hard
 /// requirements: a positive scale and throughput, a cache hit rate inside
@@ -471,76 +251,6 @@ bool check(const char* path) {
   const Json* bench = doc->find("bench");
   if (!bench || bench->string_or("").empty()) return fail(path, "missing bench");
 
-  // Kernel-comparison artifacts (--substrate-compare schema 1,
-  // --simd-compare schema 3, --trace-compare schema 1) carry per-kernel
-  // cases instead of the supervisor's health/cells layout.
-  if (bench->string_or("").rfind("micro_substrate", 0) == 0) {
-    const bool v3 = schema->number_or(0) >= 3;
-    const bool ooc = bench->string_or("") == "micro_substrate_ooc";
-    const Json* cases = doc->find("cases");
-    if (!cases || !cases->is_array()) return fail(path, "missing cases array");
-    if (cases->items().empty()) return fail(path, "cases array is empty");
-    const Json* all = doc->find("all_identical");
-    if (!all) return fail(path, "missing all_identical");
-    if (ooc) {
-      // --ooc-compare: resident-vs-paged bit-identity and the streaming
-      // RSS bound are hard artifact contracts, not advisories.
-      if (!all->bool_or(false))
-        return fail(path, "ooc compare all_identical is not true");
-      const Json* rss_ok = doc->find("rss_ok");
-      if (!rss_ok || !rss_ok->bool_or(false))
-        return fail(path, "ooc compare rss_ok is not true");
-      const Json* payload = doc->find("payload_bytes");
-      if (!payload || payload->number_or(0) <= 0)
-        return fail(path, "ooc compare missing positive payload_bytes");
-      for (const Json& c : cases->items()) {
-        const Json* threads = c.find("threads");
-        if (!threads || threads->number_or(0) < 1)
-          return fail(path, "ooc case missing threads >= 1");
-        const Json* ident = c.find("identical");
-        if (!ident || !ident->bool_or(false))
-          return fail(path, "ooc case digests differ");
-        const Json* under = c.find("rss_under_dataset");
-        if (!under || !under->bool_or(false))
-          return fail(path, "ooc case peak RSS reached the dataset size");
-        const Json* hit = c.find("hit_rate");
-        if (!hit || hit->type() != Json::Type::kNumber ||
-            hit->number_or(-1) < 0 || hit->number_or(2) > 1)
-          return fail(path, "ooc case hit_rate outside [0, 1]");
-        const Json* rps = c.find("paged_rows_per_sec");
-        if (!rps || rps->type() != Json::Type::kNumber ||
-            rps->number_or(0) <= 0)
-          return fail(path, "ooc case missing positive paged_rows_per_sec");
-      }
-      return true;
-    }
-    if (v3) {
-      const Json* backend = doc->find("simd_backend");
-      if (!backend || backend->string_or("").empty())
-        return fail(path, "schema 3 missing simd_backend");
-    }
-    for (const Json& c : cases->items()) {
-      if (!c.find("kernel")) return fail(path, "case missing kernel");
-      const Json* ident = c.find("identical");
-      if (!ident) return fail(path, "case missing identical");
-      const Json* speedup = c.find("speedup");
-      if (!speedup || speedup->type() != Json::Type::kNumber)
-        return fail(path, "case missing numeric speedup");
-      if (v3) {
-        // Schema 3: the throughput numbers land in the BENCH trajectory.
-        const Json* gflops = c.find("gflops");
-        if (!gflops || gflops->type() != Json::Type::kNumber ||
-            gflops->number_or(-1) < 0)
-          return fail(path, "schema 3 case missing non-negative gflops");
-        const Json* bps = c.find("bytes_per_s");
-        if (!bps || bps->type() != Json::Type::kNumber ||
-            bps->number_or(-1) < 0)
-          return fail(path, "schema 3 case missing non-negative bytes_per_s");
-      }
-    }
-    return true;
-  }
-
   const Json* health = doc->find("health");
   if (!health || !health->is_object()) return fail(path, "missing health object");
   const Json* cells = doc->find("cells");
@@ -598,12 +308,6 @@ bool check(const char* path) {
     }
     if (const Json* summary = cell.find("summary")) {
       const Json* extra = summary->find("extra");
-      if (const Json* serve = extra ? extra->find("serve") : nullptr)
-        if (!check_serve_section(path, *serve)) return false;
-      if (const Json* crash = extra ? extra->find("crash_recovery") : nullptr)
-        if (!check_crash_section(path, *crash)) return false;
-      if (const Json* chaos = extra ? extra->find("chaos_cell") : nullptr)
-        if (!check_chaos_cell_section(path, *chaos)) return false;
       if (const Json* ooc = extra ? extra->find("ooc") : nullptr)
         if (!check_ooc_section(path, *ooc)) return false;
       if (const Json* drift = extra ? extra->find("drift") : nullptr)

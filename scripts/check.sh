@@ -1,17 +1,20 @@
 #!/usr/bin/env bash
 # Repository hygiene driver.
 #
-#   scripts/check.sh            plain build + unit tests + perf gates
+#   scripts/check.sh            plain build + unit tests + determinism gates
 #   scripts/check.sh sanitize   asan / ubsan / tsan build-and-test matrix
+#                               (ubsan and tsan also run the kernel gates
+#                               below)
 #   scripts/check.sh bench      plain build + every bench at smoke scale
-#   scripts/check.sh trace      observability matrix: ctest -L trace (zero-
-#                               interference gate, schema-4 corpus, golden
-#                               artifact, TSan over concurrent span emission)
-#                               + the three-mode scripts/profile.sh harness
+#   scripts/check.sh trace      observability matrix: the TraceIdentity
+#                               zero-interference gate (trace off vs spans
+#                               digests) + ctest -L trace (schema-4 corpus,
+#                               golden artifact, TSan over concurrent span
+#                               emission) + the three-mode scripts/profile.sh
+#                               harness
 #   scripts/check.sh serve      online-engine matrix: classifier/flow-
 #                               table/engine/determinism/stream-fault/
-#                               snapshot-format unit tests, the bench_serve load ladder +
-#                               fault matrix at smoke scale, and the serve
+#                               snapshot-format unit tests, and the serve
 #                               concurrency stress (forest classifier on the
 #                               shard workers included) under TSan
 #   scripts/check.sh trees      histogram-tree matrix: quantize/binned/
@@ -24,10 +27,10 @@
 #                               at SUGAR_THREADS=1/2/7
 #   scripts/check.sh ooc        out-of-core matrix: store/pager/paged-fit
 #                               unit tests swept at SUGAR_THREADS=1/2/7,
-#                               the pager storm under TSan, and the
-#                               ooc_compare gate (resident vs paged fit
-#                               digests identical at every width, paged
-#                               peak RSS < dataset size, json_check'd)
+#                               the pager storm under TSan, and the OocGate
+#                               streaming gate (ctest -L ooc: resident vs
+#                               paged fit digests identical at every width,
+#                               paged peak RSS < dataset size)
 #   scripts/check.sh scenario   scenario-diversity matrix: the variant/
 #                               drift/perturbation property tests swept at
 #                               SUGAR_THREADS=1/2/7, the QUIC/DoH fuzz
@@ -45,14 +48,18 @@
 #
 # Each configuration builds into its own directory (build-check, build-asan,
 # build-ubsan, build-tsan) so sanitizer flags never leak into the default
-# ./build tree. The perf_smoke label contains the determinism gates
-# (seq-vs-threaded digests AND SIMD-vs-scalar identity) — those must pass
-# everywhere; throughput is recorded in the artifacts, never gated.
+# ./build tree. The kernel gates below (threaded ≡ sequential digests,
+# SIMD ≡ scalar spec, trace off ≡ spans, resident ≡ paged fit) must pass
+# everywhere; throughput is perfbench's business, never gated here.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 2)"
 MODE="${1:-quick}"
+# ctest -R selection of the kernel determinism gates: ParallelDeterminism
+# (GEMM ≡ the k-ascending naive spec, forest, k-NN at widths 1/2/7), the
+# test_simd.cpp suites, TraceIdentity and OocGate.
+KERNEL_GATES='ParallelDeterminism|Simd|SquaredDistance|ReluInplace|SoftmaxRows|AlignedStorage|TraceIdentity|OocGate'
 
 run() {
   echo "+ $*" >&2
@@ -70,8 +77,8 @@ configure_build() {
 plain() {
   configure_build build-check
   # Everything except the slow bench sweep: unit/property tests, the
-  # perf_smoke determinism gates, and the sanitizer smoke binaries in
-  # their plain-build form.
+  # kernel determinism gates, and the sanitizer smoke binaries in their
+  # plain-build form.
   run ctest --test-dir build-check --output-on-failure -j "$JOBS" -LE bench_smoke
 }
 
@@ -80,12 +87,14 @@ sanitize() {
   run ctest --test-dir build-asan --output-on-failure -j "$JOBS" -LE bench_smoke
 
   configure_build build-ubsan -DSUGAR_SANITIZE=undefined
-  # UBSan gets the dedicated vector-kernel sweep plus the perf gates (the
+  # UBSan gets the dedicated vector-kernel sweep plus the kernel gates (the
   # identity comparisons execute every SIMD code path under the sanitizer).
-  run ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L 'ubsan|perf_smoke'
+  run ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L ubsan
+  run ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -R "$KERNEL_GATES"
 
   configure_build build-tsan -DSUGAR_SANITIZE=thread
-  run ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L 'tsan|perf_smoke'
+  run ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L tsan
+  run ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -R "$KERNEL_GATES"
 }
 
 bench() {
@@ -95,9 +104,10 @@ bench() {
 
 trace() {
   configure_build build-check
-  # Everything labeled `trace`: the off-vs-spans digest-identity gate, the
-  # schema-4 validation corpus, the traced Fig 6 smoke + chrome dump, and
-  # the golden-artifact regression compare.
+  # The off-vs-spans digest-identity gate, then everything labeled
+  # `trace`: the schema-4 validation corpus, the traced Fig 6 smoke +
+  # chrome dump, and the golden-artifact regression compare.
+  run ctest --test-dir build-check --output-on-failure -R TraceIdentity
   run ctest --test-dir build-check --output-on-failure -L trace
   # Concurrent span emission under TSan: emitters racing snapshotters and
   # the supervisor's parallel cell crews.
@@ -113,11 +123,10 @@ serve() {
   # The serving tier end-to-end: classifier/table/engine/determinism unit
   # tests (classify ≡ RandomForest::predict, any class count), the
   # snapshot codec (its queue section holds the engine's prepared packet
-  # records), the streaming fault modes, the overload bench with its
-  # json_check'd artifact (latency percentiles + monotone shed/evict
-  # snapshots), and the concurrency stress in its plain-build form.
+  # records; kill/restore identity under a fitted forest), the streaming
+  # fault modes, and the concurrency stress in its plain-build form.
   run ctest --test-dir build-check --output-on-failure -j "$JOBS" \
-      -R 'ForestFlowClassifier|FlowTable|ServeEngine|ServeDeterminism|ServeStress|StreamFaults|Snapshot|serve_stress|bench_serve'
+      -R 'ForestFlowClassifier|FlowTable|ServeEngine|ServeDeterminism|ServeStress|StreamFaults|Snapshot|serve_stress'
   # Shard workers vs stats snapshotters vs the idle evictor under TSan,
   # plus a fitted forest's compiled model read from every shard worker.
   configure_build build-tsan -DSUGAR_SANITIZE=thread
@@ -151,9 +160,8 @@ ooc() {
   done
   # The streaming gate: paged children fit a store 24x their cache budget
   # with digests identical to the resident fit and peak RSS below the
-  # dataset payload, with json_check revalidating the artifact.
-  run ctest --test-dir build-check --output-on-failure \
-      -R 'ooc_compare|ooc_compare_json'
+  # dataset payload.
+  run ctest --test-dir build-check --output-on-failure -L ooc
   # Demand loads racing prefetch, eviction and drop_file under TSan.
   configure_build build-tsan -DSUGAR_SANITIZE=thread
   run ctest --test-dir build-tsan --output-on-failure -R tsan_stress

@@ -1,10 +1,8 @@
 #include "core/chaos.h"
 
+#include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
-
-#include "core/envparse.h"
 
 namespace sugar::core {
 namespace {
@@ -40,27 +38,6 @@ const char* to_string(ChaosSite site) {
   return "?";
 }
 
-ChaosConfig ChaosConfig::from_env() {
-  ChaosConfig cfg;
-  const char* s = std::getenv("SUGAR_CHAOS");
-  if (!s) return cfg;
-  std::uint64_t seed = 0;
-  if (!parse_env_number("SUGAR_CHAOS", s, seed) || seed == 0) return cfg;
-  cfg.enabled = true;
-  cfg.seed = seed;
-  // Ambient smoke probabilities: frequent enough that a short run exercises
-  // every site, rare enough that the engine keeps making progress.
-  cfg.with(ChaosSite::kShardStall, 0.01)
-      .with(ChaosSite::kClassifierDelay, 0.02)
-      .with(ChaosSite::kClassifierFault, 0.02)
-      .with(ChaosSite::kFlowTableAlloc, 0.02)
-      .with(ChaosSite::kIoWriteFail, 0.10)
-      .with(ChaosSite::kIoShortWrite, 0.10)
-      .with(ChaosSite::kIoRenameFail, 0.05);
-  cfg.stall_usec = 2'000;  // keep ambient stalls short of any watchdog
-  return cfg;
-}
-
 ChaosInjector::ChaosInjector(ChaosConfig cfg) : cfg_(cfg) {}
 
 bool ChaosInjector::should_fire(ChaosSite site) {
@@ -89,25 +66,6 @@ bool ChaosInjector::maybe_stall(ChaosSite site, const std::atomic<bool>* cancel)
         std::min<std::uint64_t>(1000, std::max<std::uint64_t>(1, usec / 4))));
   }
   return true;
-}
-
-Json ChaosInjector::to_json() const {
-  Json j = Json::object();
-  j.set("enabled", Json(cfg_.enabled));
-  j.set("seed", Json(static_cast<std::size_t>(cfg_.seed)));
-  Json sites = Json::array();
-  for (std::size_t s = 0; s < kChaosSiteCount; ++s) {
-    Json site = Json::object();
-    site.set("site", Json(to_string(static_cast<ChaosSite>(s))));
-    site.set("probability", Json(cfg_.probability[s]));
-    site.set("draws", Json(static_cast<std::size_t>(
-                          draws_[s].load(std::memory_order_relaxed))));
-    site.set("fired", Json(static_cast<std::size_t>(
-                          fired_[s].load(std::memory_order_relaxed))));
-    sites.push(std::move(site));
-  }
-  j.set("sites", std::move(sites));
-  return j;
 }
 
 bool ChaosIo::write_file(const std::string& path, std::string_view content,

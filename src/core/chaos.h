@@ -19,7 +19,6 @@
 #include <atomic>
 #include <cstdint>
 
-#include "core/artifact.h"
 #include "core/io.h"
 
 namespace sugar::core {
@@ -52,11 +51,6 @@ struct ChaosConfig {
     probability[static_cast<std::size_t>(site)] = p;
     return *this;
   }
-
-  /// SUGAR_CHAOS=<seed> (strict from_chars; absent, malformed or 0 leaves
-  /// chaos off). A valid non-zero seed enables every site at a moderate
-  /// ambient probability — the chaos-smoke configuration.
-  static ChaosConfig from_env();
 };
 
 class ChaosInjector {
@@ -82,10 +76,6 @@ class ChaosInjector {
   [[nodiscard]] std::uint64_t fired(ChaosSite site) const {
     return fired_[static_cast<std::size_t>(site)].load(std::memory_order_relaxed);
   }
-
-  /// {seed, sites: [{site, probability, draws, fired}...]} — the chaos
-  /// section of a bench artifact.
-  [[nodiscard]] Json to_json() const;
 
  private:
   ChaosConfig cfg_;

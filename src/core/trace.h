@@ -9,8 +9,8 @@
 //   off      (default) nothing is recorded. The macro guard is a single
 //            relaxed atomic load; spans and counters are observational
 //            only, so kernel outputs are bit-identical to a build without
-//            any instrumentation (gated by bench_micro_substrate
-//            --trace-compare). Compiling with -DSUGAR_TRACE_DISABLED
+//            any instrumentation (gated by the TraceIdentity tests).
+//            Compiling with -DSUGAR_TRACE_DISABLED
 //            removes even the atomic load.
 //   summary  per-phase aggregates (call count, wall ns, thread-CPU ns)
 //            and counters are kept; individual span events are not.

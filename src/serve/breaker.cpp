@@ -1,32 +1,11 @@
 #include "serve/breaker.h"
 
+#include <algorithm>
 #include <chrono>
-#include <cstdlib>
 
-#include "core/envparse.h"
 #include "core/trace.h"
 
 namespace sugar::serve {
-
-const char* to_string(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed: return "closed";
-    case BreakerState::kOpen: return "open";
-    case BreakerState::kHalfOpen: return "half_open";
-  }
-  return "?";
-}
-
-BreakerConfig BreakerConfig::from_env() { return from_env(BreakerConfig{}); }
-
-BreakerConfig BreakerConfig::from_env(BreakerConfig base) {
-  if (const char* s = std::getenv("SUGAR_LATENCY_BUDGET_US")) {
-    std::uint64_t v = 0;
-    if (core::parse_env_number("SUGAR_LATENCY_BUDGET_US", s, v))
-      base.latency_budget_us = v;
-  }
-  return base;
-}
 
 CircuitBreakerClassifier::CircuitBreakerClassifier(
     const FlowClassifier& primary, const FlowClassifier& fallback,
@@ -169,38 +148,6 @@ BreakerCounters CircuitBreakerClassifier::counters() const {
 std::vector<BreakerTransition> CircuitBreakerClassifier::transitions() const {
   std::lock_guard<std::mutex> lock(mu_);
   return log_;
-}
-
-core::Json CircuitBreakerClassifier::to_json() const {
-  const BreakerCounters c = counters();
-  core::Json j = core::Json::object();
-  j.set("state", core::Json(to_string(state())));
-  core::Json counters = core::Json::object();
-  counters.set("primary_calls",
-               core::Json(static_cast<std::size_t>(c.primary_calls)));
-  counters.set("fallback_calls",
-               core::Json(static_cast<std::size_t>(c.fallback_calls)));
-  counters.set("faults_latency",
-               core::Json(static_cast<std::size_t>(c.faults_latency)));
-  counters.set("faults_injected",
-               core::Json(static_cast<std::size_t>(c.faults_injected)));
-  counters.set("trips", core::Json(static_cast<std::size_t>(c.trips)));
-  counters.set("probes", core::Json(static_cast<std::size_t>(c.probes)));
-  counters.set("probe_failures",
-               core::Json(static_cast<std::size_t>(c.probe_failures)));
-  counters.set("recoveries",
-               core::Json(static_cast<std::size_t>(c.recoveries)));
-  j.set("counters", std::move(counters));
-  core::Json log = core::Json::array();
-  for (const BreakerTransition& t : transitions()) {
-    core::Json e = core::Json::object();
-    e.set("from", core::Json(to_string(t.from)));
-    e.set("to", core::Json(to_string(t.to)));
-    e.set("at_call", core::Json(static_cast<std::size_t>(t.at_call)));
-    log.push(std::move(e));
-  }
-  j.set("transitions", std::move(log));
-  return j;
 }
 
 }  // namespace sugar::serve

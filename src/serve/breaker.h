@@ -16,9 +16,9 @@
 // primary is never stampeded.
 //
 // All counters are monotone atomics and every state transition lands in a
-// bounded log plus a trace counter, so bench_serve's chaos matrix can emit
-// the full closed→open→half-open→closed timeline and json_check can
-// assert its legality. With no chaos injector and no latency budget the
+// bounded log plus a trace counter, so the full closed→open→half-open→
+// closed timeline can be read back and checked (the Breaker.* tests do).
+// With no chaos injector and no latency budget the
 // breaker never sees a fault and is a transparent pass-through — it adds
 // nothing to the bit-identity contract's surface.
 #pragma once
@@ -28,14 +28,12 @@
 #include <mutex>
 #include <vector>
 
-#include "core/artifact.h"
 #include "core/chaos.h"
 #include "serve/classifier.h"
 
 namespace sugar::serve {
 
 enum class BreakerState : std::uint8_t { kClosed = 0, kOpen, kHalfOpen };
-const char* to_string(BreakerState state);
 
 struct BreakerConfig {
   /// Primary-call wall-clock budget in microseconds; 0 disables the
@@ -50,11 +48,6 @@ struct BreakerConfig {
   /// Transition log bound; older transitions are dropped from the log
   /// (never from the counters).
   std::size_t max_transitions = 64;
-
-  /// Applies SUGAR_LATENCY_BUDGET_US (strict from_chars; malformed values
-  /// are warned about and ignored) on top of `base` (defaults when omitted).
-  static BreakerConfig from_env(BreakerConfig base);
-  static BreakerConfig from_env();
 };
 
 /// Monotone breaker counters (a point-in-time copy of the atomics).
@@ -97,9 +90,6 @@ class CircuitBreakerClassifier final : public FlowClassifier {
   [[nodiscard]] const BreakerConfig& config() const { return cfg_; }
   [[nodiscard]] BreakerCounters counters() const;
   [[nodiscard]] std::vector<BreakerTransition> transitions() const;
-
-  /// {state, counters{...}, transitions: [{from, to, at_call}...]}.
-  [[nodiscard]] core::Json to_json() const;
 
  private:
   /// Runs the primary with chaos + budget accounting. Sets `fault` when the

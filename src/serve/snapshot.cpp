@@ -8,6 +8,7 @@
 #include <cstring>
 #include <unordered_set>
 
+#include "core/artifact.h"
 #include "core/io.h"
 #include "core/trace.h"
 #include "core/crc32.h"
@@ -28,19 +29,6 @@ const char* to_string(SnapshotError e) {
     case SnapshotError::kTrailingGarbage: return "trailing-garbage";
   }
   return "?";
-}
-
-core::Json RecoveryStats::to_json() const {
-  core::Json j = core::Json::object();
-  j.set("snapshots_saved", core::Json(static_cast<std::size_t>(snapshots_saved)));
-  j.set("save_failures", core::Json(static_cast<std::size_t>(save_failures)));
-  j.set("snapshots_restored",
-        core::Json(static_cast<std::size_t>(snapshots_restored)));
-  j.set("restore_failures",
-        core::Json(static_cast<std::size_t>(restore_failures)));
-  j.set("cold_starts", core::Json(static_cast<std::size_t>(cold_starts)));
-  j.set("last_error", core::Json(to_string(last_error)));
-  return j;
 }
 
 namespace {

@@ -39,8 +39,6 @@
 #include <cstdint>
 #include <string>
 
-#include "core/artifact.h"
-
 namespace sugar::serve {
 
 inline constexpr char kSnapshotMagic[4] = {'S', 'U', 'G', 'S'};
@@ -76,8 +74,6 @@ struct RecoveryStats {
   std::uint64_t restore_failures = 0;
   std::uint64_t cold_starts = 0;  // failed restores that fell back to empty
   SnapshotError last_error = SnapshotError::kNone;
-
-  [[nodiscard]] core::Json to_json() const;
 };
 
 }  // namespace sugar::serve

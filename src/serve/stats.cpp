@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <limits>
 
 namespace sugar::serve {
@@ -39,124 +38,65 @@ void LatencyHistogram::restore(
   for (std::uint64_t c : counts_) total_ = saturating_add(total_, c);
 }
 
-double LatencyHistogram::quantile_ns(double q) const {
-  if (total_ == 0) return 0;
-  const double target = q * static_cast<double>(total_);
-  std::uint64_t cum = 0;
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    cum += counts_[b];
-    if (static_cast<double>(cum) >= target) {
-      if (b == 0) return 0.5;
-      // Geometric midpoint of [2^(b-1), 2^b).
-      return 1.5 * std::ldexp(1.0, static_cast<int>(b) - 1);
-    }
-  }
-  return std::ldexp(1.0, static_cast<int>(kBuckets) - 1);
-}
-
-core::Json LatencyHistogram::to_json() const {
-  core::Json j = core::Json::object();
-  j.set("count", core::Json(static_cast<std::size_t>(total_)));
-  j.set("p50_us", core::Json(quantile_ns(0.50) / 1e3));
-  j.set("p90_us", core::Json(quantile_ns(0.90) / 1e3));
-  j.set("p99_us", core::Json(quantile_ns(0.99) / 1e3));
-  j.set("p999_us", core::Json(quantile_ns(0.999) / 1e3));
-  return j;
-}
-
 namespace {
 
 /// Every counter field, in declaration order. One table drives merge,
-/// serialization and the monotonicity check so a newly added counter
-/// cannot be forgotten in any of them.
-struct CounterField {
-  const char* name;
-  std::uint64_t ServeCounters::* member;
-};
+/// snapshot serialization and the monotonicity check so a newly added
+/// counter cannot be forgotten in any of them.
+using CounterField = std::uint64_t ServeCounters::*;
 
 constexpr CounterField kCounterFields[] = {
-    {"packets_offered", &ServeCounters::packets_offered},
-    {"packets_rejected", &ServeCounters::packets_rejected},
-    {"packets_processed", &ServeCounters::packets_processed},
-    {"packets_malformed", &ServeCounters::packets_malformed},
-    {"packets_keyless", &ServeCounters::packets_keyless},
-    {"packets_shed_new_flow", &ServeCounters::packets_shed_new_flow},
-    {"flows_created", &ServeCounters::flows_created},
-    {"flows_rejected_full", &ServeCounters::flows_rejected_full},
-    {"evicted_idle", &ServeCounters::evicted_idle},
-    {"evicted_early", &ServeCounters::evicted_early},
-    {"evicted_sampled", &ServeCounters::evicted_sampled},
-    {"evicted_flush", &ServeCounters::evicted_flush},
-    {"classified_at_n", &ServeCounters::classified_at_n},
-    {"classified_on_evict", &ServeCounters::classified_on_evict},
-    {"evicted_unclassified", &ServeCounters::evicted_unclassified},
-    {"verdicts_dropped", &ServeCounters::verdicts_dropped},
-    {"shed_stage_enters", &ServeCounters::shed_stage_enters},
-    {"shed_stage_exits", &ServeCounters::shed_stage_exits},
-    {"rounds", &ServeCounters::rounds},
-    {"watchdog_stalls", &ServeCounters::watchdog_stalls},
-    {"watchdog_quarantines", &ServeCounters::watchdog_quarantines},
-    {"watchdog_recoveries", &ServeCounters::watchdog_recoveries},
-    {"watchdog_round_aborts", &ServeCounters::watchdog_round_aborts},
-    {"packets_requeued", &ServeCounters::packets_requeued},
-    {"fallback_classified", &ServeCounters::fallback_classified},
+    &ServeCounters::packets_offered,
+    &ServeCounters::packets_rejected,
+    &ServeCounters::packets_processed,
+    &ServeCounters::packets_malformed,
+    &ServeCounters::packets_keyless,
+    &ServeCounters::packets_shed_new_flow,
+    &ServeCounters::flows_created,
+    &ServeCounters::flows_rejected_full,
+    &ServeCounters::evicted_idle,
+    &ServeCounters::evicted_early,
+    &ServeCounters::evicted_sampled,
+    &ServeCounters::evicted_flush,
+    &ServeCounters::classified_at_n,
+    &ServeCounters::classified_on_evict,
+    &ServeCounters::evicted_unclassified,
+    &ServeCounters::verdicts_dropped,
+    &ServeCounters::shed_stage_enters,
+    &ServeCounters::shed_stage_exits,
+    &ServeCounters::rounds,
+    &ServeCounters::watchdog_stalls,
+    &ServeCounters::watchdog_quarantines,
+    &ServeCounters::watchdog_recoveries,
+    &ServeCounters::watchdog_round_aborts,
+    &ServeCounters::packets_requeued,
+    &ServeCounters::fallback_classified,
 };
 
 }  // namespace
 
 void ServeCounters::merge(const ServeCounters& other) {
-  for (const auto& f : kCounterFields) this->*f.member += other.*f.member;
-}
-
-core::Json ServeCounters::to_json() const {
-  core::Json j = core::Json::object();
-  for (const auto& f : kCounterFields)
-    j.set(f.name, core::Json(static_cast<std::size_t>(this->*f.member)));
-  return j;
+  for (const auto& f : kCounterFields) this->*f += other.*f;
 }
 
 bool ServeCounters::monotone_le(const ServeCounters& later) const {
   for (const auto& f : kCounterFields)
-    if (later.*f.member < this->*f.member) return false;
+    if (later.*f < this->*f) return false;
   return true;
 }
 
 std::vector<std::uint64_t> ServeCounters::to_values() const {
   std::vector<std::uint64_t> out;
   out.reserve(std::size(kCounterFields));
-  for (const auto& f : kCounterFields) out.push_back(this->*f.member);
+  for (const auto& f : kCounterFields) out.push_back(this->*f);
   return out;
 }
 
 bool ServeCounters::from_values(const std::vector<std::uint64_t>& values) {
   if (values.size() != std::size(kCounterFields)) return false;
   std::size_t i = 0;
-  for (const auto& f : kCounterFields) this->*f.member = values[i++];
+  for (const auto& f : kCounterFields) this->*f = values[i++];
   return true;
-}
-
-core::Json ServeGauges::to_json() const {
-  core::Json j = core::Json::object();
-  j.set("current_flows", core::Json(static_cast<std::size_t>(current_flows)));
-  j.set("peak_flows", core::Json(static_cast<std::size_t>(peak_flows)));
-  j.set("queue_depth", core::Json(static_cast<std::size_t>(queue_depth)));
-  j.set("peak_queue_depth",
-        core::Json(static_cast<std::size_t>(peak_queue_depth)));
-  j.set("table_bytes", core::Json(static_cast<std::size_t>(table_bytes)));
-  j.set("table_bytes_cap",
-        core::Json(static_cast<std::size_t>(table_bytes_cap)));
-  j.set("shed_stage", core::Json(static_cast<std::size_t>(shed_stage)));
-  j.set("virtual_now_usec",
-        core::Json(static_cast<std::size_t>(virtual_now_usec)));
-  return j;
-}
-
-core::Json ServeStats::to_json() const {
-  core::Json j = core::Json::object();
-  j.set("counters", counters.to_json());
-  j.set("gauges", gauges.to_json());
-  j.set("latency", latency.to_json());
-  return j;
 }
 
 }  // namespace sugar::serve

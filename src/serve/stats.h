@@ -1,16 +1,14 @@
 // Serve-side health accounting: a fixed-bucket log2 latency histogram and
 // the ServeStats snapshot the engine exports. The stats contract is the
 // robustness headline — every counter is monotone for the engine's
-// lifetime (json_check verifies this over the bench's snapshot timeline),
-// gauges are point-in-time, and everything stays finite and well-defined
-// under overload and fault injection.
+// lifetime (ServeEngine.MonotoneCountersAcrossSnapshots verifies this over
+// a snapshot timeline), gauges are point-in-time, and everything stays
+// finite and well-defined under overload and fault injection.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <vector>
-
-#include "core/artifact.h"
 
 namespace sugar::serve {
 
@@ -35,8 +33,6 @@ class LatencyHistogram {
   [[nodiscard]] std::uint64_t bucket_count(std::size_t b) const {
     return counts_[b];
   }
-  /// Quantile estimate (geometric bucket midpoint); 0 when empty.
-  [[nodiscard]] double quantile_ns(double q) const;
 
   /// Raw bucket array (snapshot serialization).
   [[nodiscard]] const std::array<std::uint64_t, kBuckets>& buckets() const {
@@ -46,16 +42,13 @@ class LatencyHistogram {
   /// (saturating) from the buckets so the two can never disagree.
   void restore(const std::array<std::uint64_t, kBuckets>& counts);
 
-  /// {count, p50_us, p90_us, p99_us, p999_us, max_bucket_us}.
-  [[nodiscard]] core::Json to_json() const;
-
  private:
   std::array<std::uint64_t, kBuckets> counts_{};
   std::uint64_t total_ = 0;
 };
 
-/// Monotone counters. Split from the gauges so consumers (json_check, the
-/// bench's snapshot timeline) can assert monotonicity mechanically.
+/// Monotone counters. Split from the gauges so consumers (tests, restore
+/// checks) can assert monotonicity mechanically with monotone_le().
 struct ServeCounters {
   // Ingest.
   std::uint64_t packets_offered = 0;       // offer() calls
@@ -90,7 +83,6 @@ struct ServeCounters {
   std::uint64_t fallback_classified = 0;   // verdicts from the fallback path
 
   void merge(const ServeCounters& other);
-  [[nodiscard]] core::Json to_json() const;
   /// True when every counter of `later` is >= the matching one here.
   [[nodiscard]] bool monotone_le(const ServeCounters& later) const;
 
@@ -113,8 +105,6 @@ struct ServeGauges {
   std::uint64_t table_bytes_cap = 0;   // hard bound from the config
   std::uint64_t shed_stage = 0;        // current ladder stage (0..3)
   std::uint64_t virtual_now_usec = 0;  // stream time the engine has reached
-
-  [[nodiscard]] core::Json to_json() const;
 };
 
 /// One engine snapshot: counters + gauges + latency histogram.
@@ -122,8 +112,6 @@ struct ServeStats {
   ServeCounters counters;
   ServeGauges gauges;
   LatencyHistogram latency;
-
-  [[nodiscard]] core::Json to_json() const;
 };
 
 }  // namespace sugar::serve

@@ -1,18 +1,15 @@
 // Chaos-engineering surface: deterministic injector streams, the ChaosIo
-// disk-fault shim, strict env parsing for the chaos knobs, the circuit
-// breaker's full state machine driven by a latency-scriptable classifier,
-// and the watchdog escalation ladder (flag → quarantine → round abort →
-// recovery). Built as its own binary (sugar_chaos_tests) under the `chaos`
-// ctest label; the ChaosTsan.* subset also runs under the TSan
-// configuration as chaos_tsan_smoke.
+// disk-fault shim, the circuit breaker's full state machine driven by a
+// latency-scriptable classifier, and the watchdog escalation ladder
+// (flag → quarantine → round abort → recovery). Built as its own binary
+// (sugar_chaos_tests) under the `chaos` ctest label; the ChaosTsan.* subset
+// also runs under the TSan configuration as chaos_tsan_smoke.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,28 +33,6 @@ class ScopedThreads {
  public:
   explicit ScopedThreads(std::size_t n) { core::set_global_threads(n); }
   ~ScopedThreads() { core::set_global_threads(0); }
-};
-
-/// Sets (or clears, when value is null) an env var for one test body.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) old_ = old;
-    if (value)
-      ::setenv(name, value, 1);
-    else
-      ::unsetenv(name);
-  }
-  ~ScopedEnv() {
-    if (old_.has_value())
-      ::setenv(name_, old_->c_str(), 1);
-    else
-      ::unsetenv(name_);
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> old_;
 };
 
 std::vector<net::Packet> sample_stream() {
@@ -187,45 +162,6 @@ TEST(ChaosIo, RenameFailButReadsPassThrough) {
 }
 
 // ---------------------------------------------------------------------------
-// Strict env parsing for the chaos knobs.
-
-TEST(ChaosEnv, ValidSeedEnablesChaos) {
-  ScopedEnv env("SUGAR_CHAOS", "12345");
-  const ChaosConfig cfg = ChaosConfig::from_env();
-  EXPECT_TRUE(cfg.enabled);
-  EXPECT_EQ(cfg.seed, 12345u);
-  // The smoke configuration must actually inject somewhere.
-  double total = 0;
-  for (double p : cfg.probability) total += p;
-  EXPECT_GT(total, 0.0);
-}
-
-TEST(ChaosEnv, MalformedSeedRejected) {
-  for (const char* bad : {"12abc", "abc", "", " 7", "7 ", "-3", "1e4"}) {
-    ScopedEnv env("SUGAR_CHAOS", bad);
-    EXPECT_FALSE(ChaosConfig::from_env().enabled) << "'" << bad << "'";
-  }
-  ScopedEnv env("SUGAR_CHAOS", "0");  // explicit zero means off
-  EXPECT_FALSE(ChaosConfig::from_env().enabled);
-  ScopedEnv none("SUGAR_CHAOS", nullptr);
-  EXPECT_FALSE(ChaosConfig::from_env().enabled);
-}
-
-TEST(ChaosEnv, LatencyBudgetOverride) {
-  {
-    ScopedEnv env("SUGAR_LATENCY_BUDGET_US", "250");
-    EXPECT_EQ(serve::BreakerConfig::from_env().latency_budget_us, 250u);
-  }
-  for (const char* bad : {"250us", "", "x", "-1", "2.5"}) {
-    ScopedEnv env("SUGAR_LATENCY_BUDGET_US", bad);
-    serve::BreakerConfig base;
-    base.latency_budget_us = 42;
-    EXPECT_EQ(serve::BreakerConfig::from_env(base).latency_budget_us, 42u)
-        << "'" << bad << "'";
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Circuit breaker state machine.
 
 /// Primary whose latency is scripted through an atomic: slow mode busy-waits
@@ -305,7 +241,7 @@ TEST(Breaker, FullTripCooldownProbeRecoverCycle) {
   EXPECT_EQ(breaker.state(), serve::BreakerState::kClosed);
   EXPECT_EQ(breaker.counters().recoveries, 1u);
 
-  // The transition log is exactly the legal walk json_check asserts over.
+  // The transition log is exactly the legal closed→open→half-open walk.
   const auto log = breaker.transitions();
   using S = serve::BreakerState;
   const std::pair<S, S> want[] = {
@@ -316,7 +252,9 @@ TEST(Breaker, FullTripCooldownProbeRecoverCycle) {
   for (std::size_t i = 0; i < log.size(); ++i) {
     EXPECT_EQ(log[i].from, want[i].first) << "edge " << i;
     EXPECT_EQ(log[i].to, want[i].second) << "edge " << i;
-    if (i > 0) EXPECT_LE(log[i - 1].at_call, log[i].at_call);
+    if (i > 0) {
+      EXPECT_LE(log[i - 1].at_call, log[i].at_call);
+    }
   }
 }
 

@@ -1,24 +1,31 @@
 // Crash tolerance contract: a snapshot taken between pump() rounds, restored
 // into a fresh engine, must make the replayed run bit-identical to an
 // uninterrupted one — verdicts and every monotone counter, at any
-// SUGAR_THREADS. The corruption corpus (truncations and single-bit flips at
+// SUGAR_THREADS, under a pure-function classifier and a fitted forest
+// alike. Under a mixed disk-fault storm every save attempt is a counted
+// failure or a saved snapshot, and a clean save afterwards restores. The
+// corruption corpus (truncations and single-bit flips at
 // positions spread across the file) must always be rejected with a
 // structured SnapshotError and degrade to a counted cold start; it must
 // never crash, misparse silently, or leave a half-restored engine. These
 // tests also run under the sanitizer configurations via scripts/check.sh.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/chaos.h"
 #include "core/crc32.h"
 #include "core/threadpool.h"
+#include "serve/classifier.h"
 #include "serve/engine.h"
+#include "serve/flow_features.h"
 #include "serve/snapshot.h"
 #include "net/serializer.h"
 #include "trafficgen/datasets.h"
@@ -117,37 +124,84 @@ void write_file(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// A RandomForest fitted on sample_stream()'s own labelled flows, frozen
+/// behind the serve interface: the model a deployment actually restores
+/// next to, so the kill/restore identity is checked on real forest votes
+/// and not only on a pure function of the features.
+std::shared_ptr<const FlowClassifier> forest_classifier() {
+  trafficgen::GenOptions opts;
+  opts.seed = 2027;
+  opts.flows_per_class = 3;
+  opts.spurious_fraction = 0.05;
+  const auto trace = trafficgen::generate_iscx_vpn(opts);
+  std::vector<int> packet_labels(trace.packets.size());
+  for (std::size_t i = 0; i < packet_labels.size(); ++i)
+    packet_labels[i] = trace.labels[i].cls;
+  const auto flows =
+      batch_flow_features(trace.packets, &packet_labels, FlowFeatureConfig{});
+  std::vector<std::size_t> labelled;
+  int classes = 0;
+  for (std::size_t i = 0; i < flows.labels.size(); ++i) {
+    if (flows.labels[i] < 0) continue;
+    labelled.push_back(i);
+    classes = std::max(classes, flows.labels[i] + 1);
+  }
+  ml::Matrix x(labelled.size(), flows.x.cols());
+  std::vector<int> y(labelled.size());
+  for (std::size_t r = 0; r < labelled.size(); ++r) {
+    std::copy_n(flows.x.row(labelled[r]), flows.x.cols(), x.row(r));
+    y[r] = flows.labels[labelled[r]];
+  }
+  ml::ForestConfig cfg;
+  cfg.num_trees = 8;
+  return fit_forest_classifier(x, y, classes, cfg);
+}
+
 TEST(SnapshotDeterminism, KillRestoreReplayIsBitIdenticalAtAllWidths) {
   const auto stream = sample_stream();
-  const auto clf = parity_classifier();
-  for (const std::size_t width : kWidths) {
-    ScopedThreads threads(width);
-    // Uninterrupted baseline at this width.
-    ServeEngine baseline(small_config(), clf);
-    const RunResult want = finish(baseline, stream);
-    ASSERT_FALSE(want.verdicts.empty());
+  const std::pair<const char*, std::shared_ptr<const FlowClassifier>>
+      models[] = {{"parity", parity_classifier()},
+                  {"forest", forest_classifier()}};
+  for (const auto& [model, clf] : models) {
+    for (const std::size_t width : kWidths) {
+      ScopedThreads threads(width);
+      const std::string where = std::string(model) + " width " +
+                                std::to_string(width) + " kill ";
+      // Uninterrupted baseline at this width.
+      ServeEngine baseline(small_config(), clf);
+      const RunResult want = finish(baseline, stream);
+      ASSERT_FALSE(want.verdicts.empty()) << where;
 
-    for (const std::size_t kill_round : {std::size_t{2}, std::size_t{6}}) {
-      const std::string path = temp_path("kill");
-      {
-        ServeEngine engine(small_config(), clf);
-        drive_rounds(engine, stream, kill_round);
-        ASSERT_TRUE(engine.save_snapshot(path).ok());
-        // Engine destroyed: the crash. Verdicts were never taken — the
-        // snapshot must carry them.
+      for (const std::size_t kill_round : {std::size_t{2}, std::size_t{6}}) {
+        const std::string path = temp_path("kill");
+        ServeCounters at_kill;
+        {
+          ServeEngine engine(small_config(), clf);
+          drive_rounds(engine, stream, kill_round);
+          ASSERT_TRUE(engine.save_snapshot(path).ok());
+          at_kill = engine.stats().counters;
+          // Engine destroyed: the crash. Verdicts were never taken — the
+          // snapshot must carry them.
+        }
+        ServeEngine restored(small_config(), clf);
+        ASSERT_TRUE(restored.restore_snapshot(path).ok());
+        const RunResult got = finish(restored, stream);
+        EXPECT_EQ(want.counters, got.counters) << where << kill_round;
+        // Restore never rewinds accounting: every counter at the kill
+        // point is <= its final value.
+        EXPECT_TRUE(at_kill.monotone_le(restored.stats().counters))
+            << where << kill_round;
+        const auto diff =
+            std::mismatch(want.verdicts.begin(), want.verdicts.end(),
+                          got.verdicts.begin(), got.verdicts.end());
+        EXPECT_TRUE(diff.first == want.verdicts.end() &&
+                    diff.second == got.verdicts.end())
+            << "verdicts diverge at " << (diff.first - want.verdicts.begin())
+            << " of " << want.verdicts.size() << " vs " << got.verdicts.size()
+            << ", " << where << kill_round;
+        EXPECT_EQ(restored.recovery().snapshots_restored, 1u);
+        core::real_io().remove_file(path);
       }
-      ServeEngine restored(small_config(), clf);
-      ASSERT_TRUE(restored.restore_snapshot(path).ok());
-      const RunResult got = finish(restored, stream);
-      EXPECT_EQ(want.counters, got.counters)
-          << "width " << width << " kill " << kill_round;
-      ASSERT_EQ(want.verdicts.size(), got.verdicts.size())
-          << "width " << width << " kill " << kill_round;
-      for (std::size_t i = 0; i < want.verdicts.size(); ++i)
-        ASSERT_EQ(want.verdicts[i], got.verdicts[i])
-            << "verdict " << i << " width " << width << " kill " << kill_round;
-      EXPECT_EQ(restored.recovery().snapshots_restored, 1u);
-      core::real_io().remove_file(path);
     }
   }
 }
@@ -455,6 +509,50 @@ TEST(SnapshotIo, InjectedWriteFaultsAreCountedSaveFailures) {
         << to_string(site);
     core::real_io().remove_file(path);
   }
+}
+
+TEST(SnapshotIo, MixedFaultStormCountsEveryAttemptAndCleanSaveRestores) {
+  const auto stream = sample_stream();
+  const auto clf = parity_classifier();
+  const std::string path = temp_path("io_storm");
+
+  // A mixed disk-fault storm on a save cadence: every attempt is either a
+  // counted failure or a saved snapshot, never lost and never fatal.
+  core::ChaosConfig ccfg;
+  ccfg.enabled = true;
+  ccfg.seed = 3;
+  ccfg.with(core::ChaosSite::kIoWriteFail, 0.30)
+      .with(core::ChaosSite::kIoShortWrite, 0.30)
+      .with(core::ChaosSite::kIoRenameFail, 0.20);
+  core::ChaosInjector chaos(ccfg);
+  core::ChaosIo io(chaos);
+
+  ServeEngine engine(small_config(), clf);
+  std::uint64_t attempts = 0;
+  for (std::size_t round = 1; engine.stream_pos() < stream.size(); ++round) {
+    drive_rounds(engine, stream, 1);
+    if (round % 2 == 0) {
+      engine.save_snapshot(path, &io);
+      ++attempts;
+    }
+  }
+  engine.drain();
+  engine.flush();
+  const RecoveryStats storm = engine.recovery();
+  EXPECT_EQ(storm.save_failures + storm.snapshots_saved, attempts);
+  EXPECT_GT(storm.save_failures, 0u);
+  EXPECT_GT(storm.snapshots_saved, 0u);
+
+  // After the storm, one clean save restores into a fresh engine, and the
+  // restored state is the engine's current one, not an older storm save.
+  ASSERT_TRUE(engine.save_snapshot(path).ok());
+  EXPECT_EQ(engine.recovery().snapshots_saved, storm.snapshots_saved + 1);
+  ServeEngine fresh(small_config(), clf);
+  ASSERT_TRUE(fresh.restore_snapshot(path).ok());
+  EXPECT_EQ(fresh.stream_pos(), engine.stream_pos());
+  EXPECT_EQ(fresh.stats().counters.to_values(),
+            engine.stats().counters.to_values());
+  core::real_io().remove_file(path);
 }
 
 }  // namespace

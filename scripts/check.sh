@@ -26,11 +26,15 @@
 #                               compiled-forest ≡ node-walk oracle) swept
 #                               at SUGAR_THREADS=1/2/7
 #   scripts/check.sh ooc        out-of-core matrix: store/pager/paged-fit
-#                               unit tests swept at SUGAR_THREADS=1/2/7,
-#                               the pager storm under TSan, and the OocGate
-#                               streaming gate (ctest -L ooc: resident vs
-#                               paged fit digests identical at every width,
-#                               paged peak RSS < dataset size)
+#                               unit tests and the resident ≡ out-of-core
+#                               pipeline differential swept at
+#                               SUGAR_THREADS=1/2/7, the pager storm under
+#                               TSan, and ctest -L ooc (the OocGate
+#                               streaming gate: resident vs paged fit
+#                               digests identical at every width, paged
+#                               peak RSS < dataset size; the pipeline
+#                               differential; the --scale 20000 Table 8
+#                               smoke with its json_check)
 #   scripts/check.sh scenario   scenario-diversity matrix: the variant/
 #                               drift/perturbation property tests swept at
 #                               SUGAR_THREADS=1/2/7, the QUIC/DoH fuzz
@@ -156,11 +160,12 @@ ooc() {
   for threads in 1 2 7; do
     SUGAR_THREADS="$threads" run ctest --test-dir build-check \
         --output-on-failure \
-        -R 'StoreTest|PagedFitTest|PageCache|PagerTsan'
+        -R 'StoreTest|PagedFitTest|PageCache|PagerTsan|OocPipeline'
   done
-  # The streaming gate: paged children fit a store 24x their cache budget
+  # The streaming gate (paged children fit a store 24x their cache budget
   # with digests identical to the resident fit and peak RSS below the
-  # dataset payload.
+  # dataset payload), the pipeline differential, and the end-to-end
+  # `bench_table8_shallow --scale 20000` smoke + json_check.
   run ctest --test-dir build-check --output-on-failure -L ooc
   # Demand loads racing prefetch, eviction and drop_file under TSan.
   configure_build build-tsan -DSUGAR_SANITIZE=thread

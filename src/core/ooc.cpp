@@ -1,20 +1,20 @@
 #include "core/ooc.h"
 
+#include <algorithm>
 #include <chrono>
-#include <cstring>
 
 #include "core/io.h"
 #include "core/pager.h"
 #include "core/runerror.h"
 #include "core/trace.h"
+#include "dataset/clean.h"
+#include "dataset/split.h"
 #include "dataset/store.h"
 #include "ml/binned.h"
 #include "ml/forest.h"
 #include "ml/metrics.h"
 #include "net/parser.h"
-#include "net/proto.h"
 #include "replearn/featurize.h"
-#include "trafficgen/datasets.h"
 
 namespace sugar::core {
 namespace {
@@ -55,24 +55,44 @@ std::uint64_t splitmix(std::uint64_t z) {
 
 }  // namespace
 
+trafficgen::GenOptions ooc_chunk_options(std::uint64_t seed, std::int32_t chunk) {
+  trafficgen::GenOptions gen;
+  gen.seed = splitmix(seed * 0x10001ull + static_cast<std::uint64_t>(chunk));
+  gen.flows_per_class = 8;
+  gen.spurious_fraction = 0.05;
+  return gen;
+}
+
+ml::ForestConfig ooc_forest_config(std::uint64_t seed) {
+  ml::ForestConfig cfg;
+  cfg.num_trees = 8;
+  cfg.tree.max_depth = 12;
+  cfg.tree.features_per_split = 6;
+  cfg.tree.histogram_bins = 64;
+  cfg.seed = seed;
+  return cfg;
+}
+
 OocResult run_ooc_scale(const OocOptions& opts) {
   SUGAR_TRACE_SPAN("core.ooc.run");
   const std::string packets_path = opts.dir + "/ooc_packets.sugc";
-  const std::string keep_path = opts.dir + "/ooc_keep.sugc";
-  const std::string split_path = opts.dir + "/ooc_split.sugc";
   const std::string train_path = opts.dir + "/ooc_train.sugc";
   const std::string test_path = opts.dir + "/ooc_test.sugc";
   const std::string codes_path = opts.dir + "/ooc_codes.sugc";
+  const ml::ForestConfig fcfg = ooc_forest_config(opts.seed);
+  const int bins = fcfg.tree.histogram_bins;
 
   StoreError serr;
   Json timings = Json::object();
   int num_classes = 0;
 
-  // -- Stage 1: generate, chunk by chunk, into the packet store. Each
-  // chunk is an independent seeded trace; flow ids get a per-chunk stride
-  // so the flow-hash split never merges flows across chunks.
+  // -- Stage 1: generate and clean, chunk by chunk, into the packet store.
+  // Each chunk is an independent seeded trace cleaned by the resident rule;
+  // its dense flow ids are offset past the flows already written, so no
+  // flow spans two chunks.
   auto t0 = std::chrono::steady_clock::now();
-  std::uint64_t total_bytes = 0;
+  std::uint64_t total_bytes = 0, rows_generated = 0;
+  double clean_s = 0;
   {
     StoreWriter w(packets_path,
                   {{"bytes", ColumnType::Bytes, {}},
@@ -80,100 +100,66 @@ OocResult run_ooc_scale(const OocOptions& opts) {
                    {"cls", ColumnType::I32, {}},
                    {"flow", ColumnType::I32, {}}},
                   {.group_rows = opts.group_rows});
-    constexpr std::int32_t kFlowStride = 1 << 20;
+    std::int32_t flow_offset = 0;
     for (std::int32_t chunk = 0; w.rows() < opts.target_packets; ++chunk) {
-      trafficgen::GenOptions gen;
-      gen.seed = splitmix(opts.seed * 0x10001ull + static_cast<std::uint64_t>(chunk));
-      gen.flows_per_class = 8;
-      gen.spurious_fraction = 0.05;
-      trafficgen::GeneratedTrace trace = trafficgen::generate_iscx_vpn(gen);
-      num_classes = static_cast<int>(trace.class_names.size());
-      for (std::size_t i = 0; i < trace.size(); ++i) {
-        w.add_bytes(0, trace.packets[i].data);
-        w.add_u64(1, trace.packets[i].ts_usec);
-        w.add_i32(2, trace.labels[i].cls);
-        w.add_i32(3, trace.flow_of[i] < 0
-                         ? -1
-                         : trace.flow_of[i] + chunk * kFlowStride);
-        total_bytes += trace.packets[i].data.size();
+      trafficgen::GeneratedTrace trace =
+          trafficgen::generate_iscx_vpn(ooc_chunk_options(opts.seed, chunk));
+      rows_generated += trace.size();
+      const auto tc = std::chrono::steady_clock::now();
+      dataset::clean_trace(trace, dataset::CleaningOptions{});
+      const dataset::PacketDataset ds =
+          dataset::make_task_dataset(trace, dataset::TaskId::VpnApp);
+      clean_s += seconds_since(tc);
+      num_classes = ds.num_classes;
+      std::int32_t chunk_flows = 0;
+      for (std::size_t i = 0; i < ds.size(); ++i) {
+        w.add_bytes(0, ds.packets[i].data);
+        w.add_u64(1, ds.packets[i].ts_usec);
+        w.add_i32(2, ds.label[i]);
+        w.add_i32(3, flow_offset + ds.flow_id[i]);
+        chunk_flows = std::max(chunk_flows, ds.flow_id[i] + 1);
+        total_bytes += ds.packets[i].data.size();
         if (!w.end_row(&serr)) die(serr, "generate");
       }
+      flow_offset += chunk_flows;
     }
     if (!w.finalize(&serr)) die(serr, "generate");
   }
-  timings.set("generate_s", Json(seconds_since(t0)));
+  timings.set("generate_s", Json(seconds_since(t0) - clean_s));
+  timings.set("clean_s", Json(clean_s));
 
   auto packets = open_or_die(packets_path, "open packets");
-  const std::uint64_t rows_generated = packets->rows();
+  const std::uint64_t rows_kept = packets->rows();
 
-  // -- Stage 2: clean as a selection pass — parse every frame, keep only
-  // labelled, non-spurious traffic (the paper's recommended filter). The
-  // packet store is never rewritten; survivors are a U8 vector store.
+  // -- Stage 2: split. One pass over the flow column collects what the
+  // per-flow rule needs — each flow's size and label — and the rule
+  // split_dataset applies assigns whole flows to train or test.
   t0 = std::chrono::steady_clock::now();
-  std::uint64_t rows_kept = 0;
+  std::vector<bool> train_flow;
   {
-    StoreWriter w(keep_path, {{"keep", ColumnType::U8, {}}},
-                  {.group_rows = opts.group_rows});
-    RowBlockCursor cur(*packets, {0, 2});  // bytes, cls
+    std::vector<std::size_t> sizes;
+    std::vector<int> labels;
+    RowBlockCursor cur(*packets, {2, 3});  // cls, flow
     std::vector<ColumnBlock> blocks;
-    net::Packet pkt;
     while (cur.next(blocks, &serr)) {
-      const ColumnBlock& bytes = blocks[0];
-      const std::int32_t* cls = blocks[1].as<std::int32_t>();
-      for (std::uint32_t i = 0; i < bytes.nrows; ++i) {
-        std::uint8_t keep = 0;
-        if (cls[i] >= 0) {
-          auto span = bytes.bytes_at(i);
-          pkt.data.assign(span.begin(), span.end());
-          net::ParseOutcome out = net::parse_packet(pkt);
-          if (out.ok() &&
-              net::classify_spurious(*out.parsed) == net::SpuriousCategory::None)
-            keep = 1;
-        }
-        rows_kept += keep;
-        w.add_u8(0, keep);
-        if (!w.end_row(&serr)) die(serr, "clean");
-      }
-    }
-    if (serr) die(serr, "clean");
-    if (!w.finalize(&serr)) die(serr, "clean");
-  }
-  timings.set("clean_s", Json(seconds_since(t0)));
-
-  // -- Stage 3: split as a second selection pass — per-flow hash so all of
-  // a flow's packets land on one side (the paper's leakage-free protocol).
-  t0 = std::chrono::steady_clock::now();
-  {
-    auto keep = open_or_die(keep_path, "open keep");
-    StoreWriter w(split_path, {{"split", ColumnType::U8, {}}},
-                  {.group_rows = opts.group_rows});
-    RowBlockCursor pcur(*packets, {3});  // flow
-    dataset::ColumnCursor kcur(*keep, 0);
-    std::vector<ColumnBlock> blocks;
-    ColumnBlock kb;
-    const auto threshold =
-        static_cast<std::uint64_t>(opts.train_fraction * 100.0);
-    while (pcur.next(blocks, &serr)) {
-      if (!kcur.next(kb, &serr)) break;
-      const std::int32_t* flow = blocks[0].as<std::int32_t>();
+      const std::int32_t* cls = blocks[0].as<std::int32_t>();
+      const std::int32_t* flow = blocks[1].as<std::int32_t>();
       for (std::uint32_t i = 0; i < blocks[0].nrows; ++i) {
-        std::uint8_t split = 2;  // dropped
-        if (kb.data[i] != 0) {
-          const std::uint64_t h =
-              splitmix(static_cast<std::uint64_t>(flow[i]) ^ (opts.seed << 32));
-          split = (h % 100) < threshold ? 0 : 1;
+        const auto f = static_cast<std::size_t>(flow[i]);
+        if (f >= sizes.size()) {
+          sizes.resize(f + 1, 0);
+          labels.resize(f + 1, -1);
         }
-        w.add_u8(0, split);
-        if (!w.end_row(&serr)) die(serr, "split");
+        if (sizes[f]++ == 0) labels[f] = cls[i];
       }
     }
     if (serr) die(serr, "split");
-    if (!w.finalize(&serr)) die(serr, "split");
+    train_flow = dataset::split_flows(sizes, labels, {.seed = opts.seed});
   }
   timings.set("split_s", Json(seconds_since(t0)));
 
-  // -- Stage 4: featurize kept rows into train/test F32 stores (header
-  // features + label column).
+  // -- Stage 3: featurize every row into the train or test F32 store
+  // (header features + label column), routed by its flow's side.
   t0 = std::chrono::steady_clock::now();
   const replearn::HeaderFeatureSpec fspec;
   const std::vector<std::string> fnames = replearn::header_feature_names(fspec);
@@ -186,32 +172,31 @@ OocResult run_ooc_scale(const OocOptions& opts) {
     StoreWriter wtrain(train_path, fschema, {.group_rows = opts.group_rows});
     StoreWriter wtest(test_path, fschema, {.group_rows = opts.group_rows});
 
-    auto split = open_or_die(split_path, "open split");
-    RowBlockCursor pcur(*packets, {0, 1, 2});  // bytes, ts, cls
-    dataset::ColumnCursor scur(*split, 0);
+    RowBlockCursor cur(*packets, {0, 1, 2, 3});  // bytes, ts, cls, flow
     std::vector<ColumnBlock> blocks;
-    ColumnBlock sb;
     std::vector<float> feat(nfeat);
     net::Packet pkt;
-    while (pcur.next(blocks, &serr)) {
-      if (!scur.next(sb, &serr)) break;
+    while (cur.next(blocks, &serr)) {
       const ColumnBlock& bytes = blocks[0];
       const std::uint64_t* ts = blocks[1].as<std::uint64_t>();
       const std::int32_t* cls = blocks[2].as<std::int32_t>();
+      const std::int32_t* flow = blocks[3].as<std::int32_t>();
       for (std::uint32_t i = 0; i < bytes.nrows; ++i) {
-        if (sb.data[i] > 1) continue;
         auto span = bytes.bytes_at(i);
         pkt.data.assign(span.begin(), span.end());
         pkt.ts_usec = ts[i];
         net::ParseOutcome out = net::parse_packet(pkt);
-        if (!out.ok()) continue;  // clean already vetted; belt and braces
+        if (!out.ok())
+          throw RunError(RunErrorKind::kInternal,
+                         "ooc featurize: a cleaned row no longer parses");
         replearn::extract_header_features(pkt, *out.parsed, fspec, feat.data());
-        StoreWriter& w = sb.data[i] == 0 ? wtrain : wtest;
+        const bool to_train = train_flow[static_cast<std::size_t>(flow[i])];
+        StoreWriter& w = to_train ? wtrain : wtest;
         for (std::size_t f = 0; f < nfeat; ++f)
           w.add_f32(f, feat[f]);
         w.add_i32(nfeat, cls[i]);
         if (!w.end_row(&serr)) die(serr, "featurize");
-        (sb.data[i] == 0 ? train_rows : test_rows) += 1;
+        (to_train ? train_rows : test_rows) += 1;
       }
     }
     if (serr) die(serr, "featurize");
@@ -224,7 +209,7 @@ OocResult run_ooc_scale(const OocOptions& opts) {
                    "ooc split left train=" + std::to_string(train_rows) +
                        " test=" + std::to_string(test_rows));
 
-  // -- Stage 5: quantize the train features. Pass 1 streams every column
+  // -- Stage 4: quantize the train features. Pass 1 streams every column
   // through the SAME ColumnSketch BinnedMatrix uses (bit-identical cuts),
   // pass 2 rewrites rows as uint8 codes.
   t0 = std::chrono::steady_clock::now();
@@ -233,7 +218,7 @@ OocResult run_ooc_scale(const OocOptions& opts) {
   {
     std::vector<ml::ColumnSketch> sketches;
     sketches.reserve(nfeat);
-    for (std::size_t f = 0; f < nfeat; ++f) sketches.emplace_back(opts.bins);
+    for (std::size_t f = 0; f < nfeat; ++f) sketches.emplace_back(bins);
     std::vector<std::size_t> fcols(nfeat);
     for (std::size_t f = 0; f < nfeat; ++f) fcols[f] = f;
     RowBlockCursor cur(*train, fcols);
@@ -252,7 +237,7 @@ OocResult run_ooc_scale(const OocOptions& opts) {
     for (std::size_t f = 0; f < nfeat; ++f)
       cschema.push_back({fnames[f], ColumnType::U8, cuts[f]});
     StoreWriter w(codes_path, cschema,
-                  {.group_rows = opts.group_rows, .bins = opts.bins});
+                  {.group_rows = opts.group_rows, .bins = bins});
     RowBlockCursor cur2(*train, fcols);
     while (cur2.next(blocks, &serr)) {
       for (std::uint32_t i = 0; i < blocks[0].nrows; ++i) {
@@ -280,25 +265,19 @@ OocResult run_ooc_scale(const OocOptions& opts) {
     if (serr) die(serr, "labels");
   }
 
-  // -- Stage 6: fit over the paged code source. Serial trees, feature-
+  // -- Stage 5: fit over the paged code source. Serial trees, feature-
   // parallel accumulation; working set = page cache budget.
   t0 = std::chrono::steady_clock::now();
   auto codes = open_or_die(codes_path, "open codes");
   std::vector<std::size_t> code_cols(nfeat);
   for (std::size_t f = 0; f < nfeat; ++f) code_cols[f] = f;
   dataset::PagedCodeSource src(*codes, code_cols);
-  ml::ForestConfig fcfg;
-  fcfg.num_trees = opts.forest_trees;
-  fcfg.tree.max_depth = opts.max_depth;
-  fcfg.tree.features_per_split = opts.features_per_split;
-  fcfg.tree.histogram_bins = opts.bins;
-  fcfg.seed = opts.seed;
   ml::RandomForest forest(fcfg);
   forest.fit_binned(src, y_train, num_classes);
   const double fit_s = seconds_since(t0);
   timings.set("fit_s", Json(fit_s));
 
-  // -- Stage 7: streamed evaluation — one float row at a time off the
+  // -- Stage 6: streamed evaluation — one float row at a time off the
   // test store, the compiled forest's majority vote.
   t0 = std::chrono::steady_clock::now();
   auto test = open_or_die(test_path, "open test");
@@ -367,12 +346,9 @@ OocResult run_ooc_scale(const OocOptions& opts) {
       .set("peak_rss_bytes", Json(static_cast<double>(peak_rss_bytes())))
       .set("timings", timings);
 
-  if (!opts.keep_files) {
-    Io& io = real_io();
-    for (const auto& p : {packets_path, keep_path, split_path, train_path,
-                          test_path, codes_path})
-      io.remove_file(p);
-  }
+  Io& io = real_io();
+  for (const auto& p : {packets_path, train_path, test_path, codes_path})
+    io.remove_file(p);
   return res;
 }
 

@@ -89,11 +89,6 @@ Partitions make_partitions(const dataset::PacketDataset& ds,
   return parts;
 }
 
-Partitions make_partitions(const dataset::PacketDataset& ds, std::size_t max_train,
-                           std::size_t max_test, const ScenarioOptions& opts) {
-  return make_partitions(ds, ds, max_train, max_test, opts);
-}
-
 IngestHealth ingest_health(BenchmarkEnv& env, dataset::TaskId task,
                            const trafficgen::TraceVariant& variant) {
   const auto& census = env.cleaning_report(dataset::source_of(task), variant);

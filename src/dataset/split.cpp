@@ -3,7 +3,6 @@
 #include "core/trace.h"
 
 #include <algorithm>
-#include <numeric>
 #include <random>
 #include <unordered_map>
 
@@ -13,13 +12,46 @@ std::string to_string(SplitPolicy p) {
   return p == SplitPolicy::PerPacket ? "per-packet" : "per-flow";
 }
 
+std::vector<bool> split_flows(const std::vector<std::size_t>& flow_sizes,
+                              const std::vector<int>& flow_labels,
+                              const SplitOptions& opts) {
+  // Flows are shuffled within their class, then dealt largest-first by a
+  // greedy that puts each flow on the side whose packet mass is furthest
+  // below its target, so long flows spread evenly over both partitions.
+  std::mt19937_64 rng(opts.seed);
+  std::unordered_map<int, std::vector<std::size_t>> flows_by_class;
+  for (std::size_t f = 0; f < flow_sizes.size(); ++f)
+    if (flow_sizes[f] > 0) flows_by_class[flow_labels[f]].push_back(f);
+
+  std::vector<bool> train(flow_sizes.size(), false);
+  for (auto& [cls, fidx] : flows_by_class) {
+    std::shuffle(fidx.begin(), fidx.end(), rng);
+    std::stable_sort(fidx.begin(), fidx.end(), [&](std::size_t a, std::size_t b) {
+      return flow_sizes[a] > flow_sizes[b];
+    });
+    std::size_t total = 0;
+    for (std::size_t f : fidx) total += flow_sizes[f];
+    const double target_train = opts.train_fraction * static_cast<double>(total);
+    std::size_t in_train = 0, assigned = 0;
+    for (std::size_t f : fidx) {
+      const double want_train = target_train - static_cast<double>(in_train);
+      const double want_test = (static_cast<double>(total) - target_train) -
+                               static_cast<double>(assigned - in_train);
+      train[f] = want_train >= want_test;
+      if (train[f]) in_train += flow_sizes[f];
+      assigned += flow_sizes[f];
+    }
+  }
+  return train;
+}
+
 SplitIndices split_dataset(const PacketDataset& ds, const SplitOptions& opts) {
   SUGAR_TRACE_SPAN("dataset.split");
-  std::mt19937_64 rng(opts.seed);
   SplitIndices out;
 
   if (opts.policy == SplitPolicy::PerPacket) {
     // Random split of each class's packets — flows straddle the boundary.
+    std::mt19937_64 rng(opts.seed);
     std::unordered_map<int, std::vector<std::size_t>> by_class;
     for (std::size_t i = 0; i < ds.size(); ++i) by_class[ds.label[i]].push_back(i);
     for (auto& [cls, idx] : by_class) {
@@ -30,44 +62,12 @@ SplitIndices split_dataset(const PacketDataset& ds, const SplitOptions& opts) {
         (i < n_train ? out.train : out.test).push_back(idx[i]);
     }
   } else {
-    // Per-flow: assign whole flows. When balance_long_flows is set, flows
-    // are dealt largest-first in a round-robin-ish greedy that keeps the
-    // packet mass of each side near the target fraction.
-    auto flows = ds.flows();
-    auto flow_labels = ds.flow_labels();
-    std::unordered_map<int, std::vector<std::size_t>> flows_by_class;
+    const auto flows = ds.flows();
+    std::vector<std::size_t> sizes(flows.size());
+    for (std::size_t f = 0; f < flows.size(); ++f) sizes[f] = flows[f].size();
+    const std::vector<bool> train = split_flows(sizes, ds.flow_labels(), opts);
     for (std::size_t f = 0; f < flows.size(); ++f)
-      if (!flows[f].empty()) flows_by_class[flow_labels[f]].push_back(f);
-
-    for (auto& [cls, fidx] : flows_by_class) {
-      std::shuffle(fidx.begin(), fidx.end(), rng);
-      if (opts.balance_long_flows) {
-        std::stable_sort(fidx.begin(), fidx.end(),
-                         [&](std::size_t a, std::size_t b) {
-                           return flows[a].size() > flows[b].size();
-                         });
-        std::size_t total = 0;
-        for (std::size_t f : fidx) total += flows[f].size();
-        double target_train = opts.train_fraction * static_cast<double>(total);
-        std::size_t in_train = 0, assigned = 0;
-        for (std::size_t f : fidx) {
-          // Greedy: put the flow where the deficit is largest.
-          double want_train = target_train - static_cast<double>(in_train);
-          double want_test = (static_cast<double>(total) - target_train) -
-                             static_cast<double>(assigned - in_train);
-          bool to_train = want_train >= want_test;
-          for (std::size_t i : flows[f]) (to_train ? out.train : out.test).push_back(i);
-          if (to_train) in_train += flows[f].size();
-          assigned += flows[f].size();
-        }
-      } else {
-        std::size_t n_train = static_cast<std::size_t>(
-            opts.train_fraction * static_cast<double>(fidx.size()));
-        for (std::size_t i = 0; i < fidx.size(); ++i)
-          for (std::size_t p : flows[fidx[i]])
-            (i < n_train ? out.train : out.test).push_back(p);
-      }
-    }
+      for (std::size_t p : flows[f]) (train[f] ? out.train : out.test).push_back(p);
   }
   std::sort(out.train.begin(), out.train.end());
   std::sort(out.test.begin(), out.test.end());
@@ -127,41 +127,6 @@ std::vector<std::size_t> cap_flow_length(const PacketDataset& ds,
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-std::vector<SplitIndices> kfold(const PacketDataset& ds,
-                                const std::vector<std::size_t>& train, int k,
-                                SplitPolicy policy, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::vector<int> fold_of_packet(ds.size(), -1);
-
-  if (policy == SplitPolicy::PerPacket) {
-    std::vector<std::size_t> shuffled = train;
-    std::shuffle(shuffled.begin(), shuffled.end(), rng);
-    for (std::size_t i = 0; i < shuffled.size(); ++i)
-      fold_of_packet[shuffled[i]] = static_cast<int>(i % static_cast<std::size_t>(k));
-  } else {
-    // Flow-consistent folds.
-    std::unordered_map<int, int> fold_of_flow;
-    std::vector<int> flow_ids;
-    for (std::size_t i : train)
-      if (fold_of_flow.emplace(ds.flow_id[i], -1).second)
-        flow_ids.push_back(ds.flow_id[i]);
-    std::shuffle(flow_ids.begin(), flow_ids.end(), rng);
-    for (std::size_t i = 0; i < flow_ids.size(); ++i)
-      fold_of_flow[flow_ids[i]] = static_cast<int>(i % static_cast<std::size_t>(k));
-    for (std::size_t i : train) fold_of_packet[i] = fold_of_flow[ds.flow_id[i]];
-  }
-
-  std::vector<SplitIndices> folds(static_cast<std::size_t>(k));
-  for (std::size_t i : train) {
-    int f = fold_of_packet[i];
-    for (int j = 0; j < k; ++j)
-      (j == f ? folds[static_cast<std::size_t>(j)].test
-              : folds[static_cast<std::size_t>(j)].train)
-          .push_back(i);
-  }
-  return folds;
 }
 
 }  // namespace sugar::dataset

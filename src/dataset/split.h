@@ -1,8 +1,7 @@
 // Train/test splitting — the heart of the paper's critique. Per-packet
 // splitting scatters packets of one flow across train and test (leaking
 // implicit flow ids); per-flow splitting keeps each flow whole on one side.
-// Both are implemented here, along with balanced/stratified sampling and
-// per-flow K-fold cross-validation.
+// Both are implemented here, along with balanced/stratified sampling.
 #pragma once
 
 #include <cstdint>
@@ -26,16 +25,25 @@ struct SplitIndices {
 
 struct SplitOptions {
   SplitPolicy policy = SplitPolicy::PerFlow;
-  /// Fraction of packets (per-packet) or flows (per-flow) put in train.
+  /// Fraction of each class's packets put in train (per-flow: as near as
+  /// whole flows allow).
   double train_fraction = 0.875;  // the paper's 7:1
   std::uint64_t seed = 7;
-  /// Per-flow split: spread long flows evenly across partitions (paper §5:
-  /// "we make sure that long flows are evenly distributed").
-  bool balance_long_flows = true;
 };
 
 /// Splits a dataset into train/test packet-index sets.
 SplitIndices split_dataset(const PacketDataset& ds, const SplitOptions& opts);
+
+/// The per-flow assignment behind split_dataset's PerFlow policy, over flow
+/// sizes (packets per dense flow id) and labels alone, so a caller that
+/// streams its packets can split them by the same rule. Returns true for
+/// the flows that go to train. Long flows are spread evenly across the
+/// partitions (paper §5: "we make sure that long flows are evenly
+/// distributed"): the packet mass of each class's train side tracks
+/// `train_fraction`. Empty flows go to test.
+std::vector<bool> split_flows(const std::vector<std::size_t>& flow_sizes,
+                              const std::vector<int>& flow_labels,
+                              const SplitOptions& opts);
 
 /// Balanced undersampling of the training set: each class is reduced to the
 /// size of its minority class (the paper's few-shot-stressing train policy).
@@ -54,11 +62,5 @@ std::vector<std::size_t> stratified_sample(const PacketDataset& ds,
 std::vector<std::size_t> cap_flow_length(const PacketDataset& ds,
                                          const std::vector<std::size_t>& indices,
                                          std::size_t max_per_flow, std::uint64_t seed);
-
-/// K folds over the *training* partition, flow-consistent when the policy is
-/// PerFlow: fold k uses folds != k for training and fold k for validation.
-std::vector<SplitIndices> kfold(const PacketDataset& ds,
-                                const std::vector<std::size_t>& train, int k,
-                                SplitPolicy policy, std::uint64_t seed);
 
 }  // namespace sugar::dataset

@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/artifact.h"
 #include "dataset/split.h"
 
 namespace sugar::dataset {
@@ -113,26 +114,29 @@ TEST(Split, CapFlowLength) {
   for (const auto& [f, n] : per_flow) EXPECT_LE(n, 5u);
 }
 
-TEST(Split, KFoldFlowConsistent) {
-  auto ds = make_ds();
-  SplitOptions opts;
-  opts.policy = SplitPolicy::PerFlow;
-  auto split = split_dataset(ds, opts);
-  auto folds = kfold(ds, split.train, 3, SplitPolicy::PerFlow, 13);
-  ASSERT_EQ(folds.size(), 3u);
-
-  for (const auto& fold : folds) {
-    EXPECT_EQ(fold.train.size() + fold.test.size(), split.train.size());
-    std::unordered_set<int> tr, va;
-    for (auto i : fold.train) tr.insert(ds.flow_id[i]);
-    for (auto i : fold.test) va.insert(ds.flow_id[i]);
-    for (int f : va) EXPECT_EQ(tr.count(f), 0u);
+/// The per-flow assignment is pinned: these digests were recorded before
+/// the rule was factored into split_flows, and every resident result that
+/// splits per flow (perfbench fingerprints, the fig6/drift goldens)
+/// depends on them staying put.
+TEST(Split, PerFlowAssignmentPinned) {
+  struct Pin {
+    std::uint64_t seed;
+    std::size_t train, test;
+    std::uint64_t digest;
+  };
+  for (const Pin& pin : {Pin{5, 3419, 181, 0xe613037a0e106012ull},
+                         Pin{7, 2309, 270, 0x318b29d852df4293ull},
+                         Pin{42, 3252, 391, 0xd8a01e2c54a9870aull}}) {
+    const auto ds = make_ds(pin.seed);
+    const auto split = split_dataset(ds, {.seed = pin.seed});
+    EXPECT_EQ(split.train.size(), pin.train) << "seed " << pin.seed;
+    EXPECT_EQ(split.test.size(), pin.test) << "seed " << pin.seed;
+    EXPECT_EQ(core::fnv1a64(std::string(
+                  reinterpret_cast<const char*>(split.train.data()),
+                  split.train.size() * sizeof(std::size_t))),
+              pin.digest)
+        << "seed " << pin.seed;
   }
-  // Each packet is in the validation part of exactly one fold.
-  std::unordered_map<std::size_t, int> val_count;
-  for (const auto& fold : folds)
-    for (auto i : fold.test) ++val_count[i];
-  for (auto i : split.train) EXPECT_EQ(val_count[i], 1) << "packet " << i;
 }
 
 TEST(Split, DeterministicForSeed) {
